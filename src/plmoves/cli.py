@@ -41,7 +41,13 @@ from .filtration import (
     enumerate_extended_moves,
     validate_filtration,
 )
-from .homology import euler_characteristic, f_vector, homology, homology_summary
+from .homology import (
+    euler_characteristic,
+    f_vector,
+    homology,
+    homology_summary,
+    minimal_sphere_f_vector,
+)
 from .manifold import check_combinatorial_manifold
 from .moves import MoveError, enumerate_moves
 from .search import (
@@ -234,10 +240,7 @@ def _cmd_align(args) -> int:
 def _cmd_reduce(args) -> int:
     k = to_complex(_load_document(args.input))
     reduced, seq = reduce_complex(k, move_budget=args.moves, seed=args.seed)
-    from math import comb
-
-    minimal = tuple(comb(k.dim + 2, i + 1) for i in range(k.dim + 1))
-    reached = f_vector(reduced) == minimal
+    reached = f_vector(reduced) == minimal_sphere_f_vector(k.dim)
     if args.format == "structured":
         return _emit_json(
             {

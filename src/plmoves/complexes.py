@@ -5,6 +5,15 @@ vertices; a complex is determined by its facets (inclusion-maximal simplices)
 and is immutable.  All derived structure (the full face set, the star index,
 the boundary) is computed lazily and memoized, which is what makes the move
 routines cheap enough to run inside search loops.
+
+Public constructors validate; internal constructions are trusted.
+``Simplex(...)``, ``Complex(...)`` and every function taking vertex labels
+from a caller check their input.  A nonempty sorted subset of a simplex, or
+the sorted union of two disjoint simplices, is a valid simplex by
+construction, so faces, link facets and joins of existing simplices are
+built with ``tuple.__new__(Simplex, vertices)`` and skip the checks.  The
+faces of a complex are enumerated once, into its star index, from which the
+face set, face membership and the boundary are all read.
 """
 
 from __future__ import annotations
@@ -48,22 +57,32 @@ class Simplex(tuple):
         """The codimension-1 faces, in lexicographic order."""
         if len(self) == 1:
             return ()
-        return tuple(Simplex(f) for f in combinations(self, len(self) - 1))
+        return tuple(
+            tuple.__new__(Simplex, f) for f in combinations(self, len(self) - 1)
+        )
 
     def subsimplices(self):
         """All nonempty faces, including the simplex itself."""
-        out = []
-        for r in range(1, len(self) + 1):
-            out.extend(Simplex(c) for c in combinations(self, r))
-        return out
+        return [
+            tuple.__new__(Simplex, c)
+            for r in range(1, len(self) + 1)
+            for c in combinations(self, r)
+        ]
 
     def without(self, v):
-        return Simplex(x for x in self if x != v)
+        rest = [x for x in self if x != v]
+        if not rest:
+            raise ValueError("a simplex needs at least one vertex")
+        return tuple.__new__(Simplex, rest)
 
     def joined(self, other):
+        """The join with a disjoint simplex; ``other`` is validated unless it
+        is a Simplex already."""
         shared = set(self) & set(other)
         if shared:
             raise ValueError("join of non-disjoint simplices (shared %s)" % sorted(shared))
+        if isinstance(other, Simplex):
+            return tuple.__new__(Simplex, sorted(self + other))
         return Simplex(self + tuple(other))
 
 
@@ -77,12 +96,16 @@ class Complex:
     ``Complex(facets)`` requires the given simplices to be pairwise
     non-nested; use :func:`closure` to build a complex from an arbitrary
     family of simplices.  The empty complex ``Complex([])`` is allowed and
-    acts as the identity for :func:`join`.
+    acts as the identity for :func:`join`.  Code inside the package passes
+    ``_trusted=True`` with pairwise non-nested ``Simplex`` values, which are
+    taken as they are.
     """
 
     def __init__(self, facets, *, _trusted=False):
-        fs = frozenset(_as_simplex(f) for f in facets)
-        if not _trusted:
+        if _trusted:
+            fs = frozenset(facets)
+        else:
+            fs = frozenset(_as_simplex(f) for f in facets)
             by_len = sorted(fs, key=len)
             for i, f in enumerate(by_len):
                 fset = set(f)
@@ -108,10 +131,7 @@ class Complex:
 
     @cached_property
     def simplices(self) -> frozenset:
-        out = set()
-        for f in self._facets:
-            out.update(f.subsimplices())
-        return frozenset(out)
+        return frozenset(self._star_index)
 
     @cached_property
     def _star_index(self):
@@ -130,7 +150,7 @@ class Complex:
             s = _as_simplex(s)
         except ValueError:
             return False
-        return s in self.simplices
+        return s in self._star_index
 
     def __eq__(self, other):
         return isinstance(other, Complex) and self._facets == other._facets
@@ -161,19 +181,19 @@ class Complex:
         n = self.dim
         if n <= 0:
             return EMPTY
-        count = {}
-        for f in self._facets:
-            if len(f) != n + 1:
-                continue
-            for r in f.boundary_faces():
-                count[r] = count.get(r, 0) + 1
-        return closure(r for r, c in count.items() if c == 1)
+        # a ridge's star holds its top-dimensional facets, or just the ridge
+        # itself when the ridge is a facet
+        return closure(
+            r
+            for r, fs in self._star_index.items()
+            if len(r) == n and len(fs) == 1 and len(fs[0]) == n + 1
+        )
 
     def facets_containing(self, s):
         return self._star_index.get(_as_simplex(s), ())
 
     def is_subcomplex_of(self, other: "Complex"):
-        return all(f in other.simplices for f in self._facets)
+        return all(f in other._star_index for f in self._facets)
 
     def restrict_to_vertices(self, verts):
         """Induced subcomplex on a vertex set (full faces only)."""
@@ -233,9 +253,9 @@ def link(a, k: Complex) -> Complex:
     aset = set(a)
     out = []
     for f in k.facets_containing(a):
-        rest = tuple(v for v in f if v not in aset)
+        rest = [v for v in f if v not in aset]
         if rest:
-            out.append(Simplex(rest))
+            out.append(tuple.__new__(Simplex, rest))
     return closure(out)
 
 

@@ -225,8 +225,17 @@ def emit_document(doc: ComplexDocument) -> str:
 # ---------------------------------------------------- object conversions
 
 
+def _facet_complex(facets: Facets, path: str) -> Complex:
+    """The complex on a parsed facet list; a facet that is a face of another
+    is a schema error."""
+    try:
+        return Complex(facets)
+    except ValueError as e:
+        raise DocumentError("%s: %s" % (path, e)) from e
+
+
 def to_complex(doc: ComplexDocument) -> Complex:
-    return Complex(doc.facets)
+    return _facet_complex(doc.facets, "facets")
 
 
 def to_filtered(doc: ComplexDocument) -> FilteredComplex:
@@ -234,8 +243,10 @@ def to_filtered(doc: ComplexDocument) -> FilteredComplex:
     bounds) surface as FiltrationError, not DocumentError."""
     if doc.strata is None:
         raise DocumentError("strata: required to build a filtration")
-    strata = tuple(Complex(fs) for _, fs in doc.strata) + (Complex(doc.facets),)
-    return FilteredComplex(strata)
+    strata = tuple(
+        _facet_complex(fs, "strata (dim %d).facets" % d) for d, fs in doc.strata
+    )
+    return FilteredComplex(strata + (to_complex(doc),))
 
 
 def neighborhood_from_document(nb: NeighborhoodDocument) -> StarkNeighborhood:
@@ -243,7 +254,7 @@ def neighborhood_from_document(nb: NeighborhoodDocument) -> StarkNeighborhood:
         tuple((apex, frozenset(v for f in lf for v in f)) for apex, lf in lvl)
         for lvl in nb.levels
     )
-    return StarkNeighborhood(Complex(nb.base_facets), levels)
+    return StarkNeighborhood(_facet_complex(nb.base_facets, "base_facets"), levels)
 
 
 def to_stark(doc: ComplexDocument) -> tuple[StarkComplex, tuple[StarkNeighborhood, ...]]:

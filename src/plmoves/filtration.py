@@ -25,6 +25,7 @@ from .complexes import (
     EMPTY,
     Complex,
     Simplex,
+    _as_simplex,
     closure,
     fresh_vertex,
     join,
@@ -151,7 +152,7 @@ def validate_filtration(fc: FilteredComplex) -> FiltrationReport:
 
 def stratum_of(fc: FilteredComplex, s) -> int:
     """The least k with s a simplex of M_k."""
-    s = Simplex(s)
+    s = _as_simplex(s)
     for k, m in enumerate(fc.strata):
         if s in m:
             return k
@@ -186,7 +187,9 @@ def find_filtered_suspension(fc: FilteredComplex, ball: Complex, k: int | None =
         usable = [
             v
             for v in candidates
-            if all(f.joined(Simplex([v])) in upper for f in current.facets)
+            if all(
+                f.joined(tuple.__new__(Simplex, (v,))) in upper for f in current.facets
+            )
         ]
         for plus, minus in combinations(usable, 2):
             bigger = join(
@@ -287,7 +290,7 @@ def suspension_from_links(
     when the extended move is available the apexes are forced, being the
     vertices of lk(a; M_{l}) beyond those of the level below.  Returns None
     as soon as the forced shape fails."""
-    a = Simplex(a)
+    a = _as_simplex(a)
     pairs = []
     prev_vertices = set() if b is None else set(b)
     for level in range(k + 1, fc.n + 1):

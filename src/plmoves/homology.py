@@ -11,6 +11,7 @@ characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import _kernel
 from .complexes import Complex
@@ -29,6 +30,16 @@ def f_vector(k: Complex) -> tuple[int, ...]:
     for s in k.simplices:
         counts[len(s) - 1] += 1
     return tuple(counts)
+
+
+def minimal_sphere_f_vector(n: int) -> tuple[int, ...]:
+    """f-vector of the boundary of the (n+1)-simplex, the minimal
+    triangulation of the n-sphere.
+
+    >>> minimal_sphere_f_vector(2)
+    (4, 6, 4)
+    """
+    return tuple(comb(n + 2, d + 1) for d in range(n + 1))
 
 
 def euler_characteristic(k: Complex) -> int:

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 
 from .complexes import EMPTY, Complex, Simplex, cone, fresh_vertex, link
-from .homology import euler_characteristic, f_vector, homology
+from .homology import euler_characteristic, f_vector, homology, minimal_sphere_f_vector
 from .moves import MoveError, apply_bistellar, enumerate_moves
 
 
@@ -113,7 +113,7 @@ def _surface_kind(k: Complex):
     if any(c > 2 for c in edge_count.values()):
         return None
     for v in k.vertices:
-        if _circle_or_arc(link([v], k)) is None:
+        if _circle_or_arc(link(tuple.__new__(Simplex, (v,)), k)) is None:
             return None
     boundary = k.boundary_complex
     if not boundary:
@@ -123,18 +123,11 @@ def _surface_kind(k: Complex):
     return "disk" if euler_characteristic(k) == 1 else None
 
 
-def _minimal_sphere_f(n: int) -> tuple[int, ...]:
-    """f-vector of the boundary of the (n+1)-simplex."""
-    from math import comb
-
-    return tuple(comb(n + 2, d + 1) for d in range(n + 1))
-
-
 def _reduces_to_minimal_sphere(k: Complex, move_budget: int = 600, seed: int = 7) -> bool:
     """Greedy bistellar reduction toward the boundary of a simplex, with a
     few seeded sideways flips to get past plateaus.  True only when the
     minimal sphere is actually reached."""
-    target = _minimal_sphere_f(k.dim)
+    target = minimal_sphere_f_vector(k.dim)
     rng = random.Random(seed)
     state = k
     sideways = 0
@@ -215,7 +208,8 @@ def sphere_or_ball_verdict(k: Complex, expect_dim: int):
         if not _sphere_homology_ok(k, d):
             return Verdict.NO, None
         for v in sorted(k.vertices):
-            sub, _ = sphere_or_ball_verdict(link([v], k), d - 1)
+            lk = link(tuple.__new__(Simplex, (v,)), k)
+            sub, _ = sphere_or_ball_verdict(lk, d - 1)
             if sub is Verdict.NO:
                 return Verdict.NO, None
         if _reduces_to_minimal_sphere(k):
@@ -274,13 +268,13 @@ def check_combinatorial_manifold(k: Complex) -> ManifoldReport:
         return ManifoldReport(pure, True, Verdict.YES, boundary)
     link_verdicts = []
     for v in sorted(k.vertices):
-        lk = link([v], k)
-        verdict, _ = sphere_or_ball_verdict(lk, n - 1)
+        vertex = tuple.__new__(Simplex, (v,))
+        verdict, _ = sphere_or_ball_verdict(link(vertex, k), n - 1)
         link_verdicts.append(verdict)
         if verdict is Verdict.NO:
-            offenders.append((Simplex([v]), "vertex link is not a sphere or ball"))
+            offenders.append((vertex, "vertex link is not a sphere or ball"))
         elif verdict is Verdict.UNKNOWN:
-            offenders.append((Simplex([v]), "vertex link verdict unknown"))
+            offenders.append((vertex, "vertex link verdict unknown"))
     return ManifoldReport(
         pure, True, _combine(link_verdicts), boundary, tuple(offenders)
     )

@@ -18,6 +18,7 @@ from .complexes import (
     EMPTY,
     Complex,
     Simplex,
+    _as_simplex,
     closure,
     fresh_vertex,
     join,
@@ -41,8 +42,8 @@ class BistellarMove:
     b: Simplex
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Simplex(self.a))
-        object.__setattr__(self, "b", Simplex(self.b))
+        object.__setattr__(self, "a", _as_simplex(self.a))
+        object.__setattr__(self, "b", _as_simplex(self.b))
         if set(self.a) & set(self.b):
             raise MoveError("move simplices must be disjoint: %s, %s" % (self.a, self.b))
 
@@ -73,7 +74,7 @@ def applicability_obstruction(k: Complex, a) -> str | None:
     Raises if ``a`` is not a simplex of ``k`` at all; a boundary simplex and
     a link that fails to be a simplex boundary are reported separately.
     """
-    a = Simplex(a)
+    a = _as_simplex(a)
     if a not in k:
         raise MoveError("%s is not a simplex of the complex" % (a,))
     if a in k.boundary_complex:
@@ -82,11 +83,11 @@ def applicability_obstruction(k: Complex, a) -> str | None:
         return None
     lk = link(a, k)
     m = k.dim - a.dim
-    verts = sorted(lk.vertices)
-    if len(verts) != m + 1 or lk != simplex_boundary(Simplex(verts)):
+    b = tuple.__new__(Simplex, sorted(lk.vertices))
+    if len(b) != m + 1 or lk != simplex_boundary(b):
         return "link of %s is not the boundary of a %d-simplex" % (a, m)
-    if Simplex(verts) in k:
-        return "candidate co-simplex %s already present" % (verts,)
+    if b in k:
+        return "candidate co-simplex %s already present" % (list(b),)
     return None
 
 
@@ -97,12 +98,12 @@ def bistellar_applicable(k: Complex, a, label_floor: int = -1) -> BistellarMove 
     one more than every label in ``k`` (and than ``label_floor``, which lets
     a caller reserve labels used elsewhere).
     """
-    a = Simplex(a)
+    a = _as_simplex(a)
     if applicability_obstruction(k, a) is not None:
         return None
     if a.dim == k.dim:
         return BistellarMove(a, Simplex([fresh_vertex(k, label_floor)]))
-    return BistellarMove(a, Simplex(sorted(link(a, k).vertices)))
+    return BistellarMove(a, tuple.__new__(Simplex, sorted(link(a, k).vertices)))
 
 
 def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
@@ -129,7 +130,7 @@ def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
         if b.dim != 0 or b[0] in k.vertices:
             raise MoveError("cannot apply %s: %s is not a fresh vertex" % (move, b))
     else:
-        expected = Simplex(sorted(link(a, k).vertices))
+        expected = tuple.__new__(Simplex, sorted(link(a, k).vertices))
         if b != expected:
             raise MoveError(
                 "cannot apply %s: link of %s is the boundary of %s" % (move, a, expected)
@@ -182,12 +183,13 @@ def enumerate_moves(
     if bd and not bd.is_subcomplex_of(avoid if avoid else EMPTY):
         raise MoveError("avoid must contain the boundary of a complex with boundary")
     avoided = avoid.simplices if avoid else frozenset()
-    fresh = fresh_vertex(k, label_floor)
+    fresh = Simplex([fresh_vertex(k, label_floor)])
     out = []
+    # the kernel returns sorted vertex tuples of faces of k and of their links
     for a_t, b_t in _kernel.scan_moves(sorted(tuple(f) for f in k.facets)):
-        a = Simplex(a_t)
-        if a in avoided:
+        if a_t in avoided:
             continue
-        b = Simplex([fresh]) if b_t is None else Simplex(b_t)
+        a = tuple.__new__(Simplex, a_t)
+        b = fresh if b_t is None else tuple.__new__(Simplex, b_t)
         out.append(BistellarMove(a, b))
     return out

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from math import comb
 
 from .complexes import (
     EMPTY,
@@ -40,7 +39,7 @@ from .filtration import (
     suspension_from_links,
     validate_filtration,
 )
-from .homology import euler_characteristic
+from .homology import euler_characteristic, f_vector, minimal_sphere_f_vector
 from .moves import BistellarMove, MoveError, apply_bistellar, enumerate_moves
 from .stark import StarkComplex, StarkMove, apply_stark_move
 
@@ -302,11 +301,6 @@ def random_extended_walk(
     return current, MoveSequence.for_state(fc, records)
 
 
-def _minimal_f(n: int) -> tuple[int, ...]:
-    # f-vector of the boundary of an (n+1)-simplex
-    return tuple(comb(n + 2, i + 1) for i in range(n + 1))
-
-
 def reduce(
     k: Complex,
     move_budget: int = 600,
@@ -325,11 +319,11 @@ def reduce(
     rng = random.Random(seed)
     records = []
     current = k
-    minimal = _minimal_f(k.dim)
+    minimal = minimal_sphere_f_vector(k.dim)
     high = len(k.simplices)
     sideways_left = 8 * len(k.vertices) + 16
     while len(records) < move_budget:
-        if tuple(len(current.simplices_of_dim(i)) for i in range(k.dim + 1)) == minimal:
+        if f_vector(current) == minimal:
             break
         moves = enumerate_moves(current)
         if not moves:
@@ -508,8 +502,7 @@ def find_isomorphism(k1: Complex, k2: Complex) -> dict | None:
         mapped = set(mapping)
         for f in k1.facets:
             if set(f) <= mapped:
-                image = Simplex([mapping[v] for v in f])
-                if image not in facets2:
+                if tuple(sorted(mapping[v] for v in f)) not in facets2:
                     return False
         return True
 

@@ -84,6 +84,30 @@ def test_schema_errors_exit_2():
     assert code == 2
 
 
+def test_nested_facets_are_a_schema_error():
+    nested_top = json.dumps({"dimension": 2, "facets": [[1, 2, 3], [1, 2]]})
+    nested_stratum = json.dumps(
+        {
+            "dimension": 2,
+            "facets": [[1, 2, 3]],
+            "strata": [{"dim": 1, "facets": [[1, 2], [1]]}],
+        }
+    )
+    cases = [
+        (nested_top, ["validate"]),
+        (nested_top, ["invariants"]),
+        (nested_top, ["moves", "list"]),
+        (nested_stratum, ["validate"]),
+        (nested_stratum, ["invariants"]),
+        (nested_stratum, ["moves", "list", "--extended"]),
+    ]
+    for doc, command in cases:
+        code, _, err = run_cli(command + ["--input", "-"], stdin=doc)
+        assert code == 2, command
+        assert err.startswith("document error:") and "is a face of" in err
+        assert "Traceback" not in err
+
+
 def test_missing_input_file_exits_1(tmp_path):
     code, _, err = run_cli(["validate", "--input", str(tmp_path / "absent.json")])
     assert code == 1

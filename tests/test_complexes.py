@@ -48,13 +48,35 @@ def test_simplex_faces_and_join():
     assert s.is_face_of((1, 2, 3, 4))
     assert not s.is_face_of((1, 2))
     assert Simplex([1, 2]).joined(Simplex([5])) == (1, 2, 5)
+    assert Simplex([3, 4]).joined((2, 1)) == (1, 2, 3, 4)
     with pytest.raises(ValueError, match="non-disjoint"):
         Simplex([1, 2]).joined(Simplex([2, 3]))
+    # a plain tuple is still validated
+    with pytest.raises(ValueError, match="non-disjoint"):
+        Simplex([1, 2]).joined((2, 3))
+    with pytest.raises(ValueError, match="non-negative"):
+        Simplex([1, 2]).joined((3, -1))
+    with pytest.raises(ValueError, match="duplicate vertex"):
+        Simplex([1, 2]).joined((3, 3))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Simplex([4]).without(4)
+    # faces and joins built without re-validation are still Simplex values
+    built = (
+        list(s.boundary_faces())
+        + s.subsimplices()
+        + [s.without(1), s.joined(Simplex([7]))]
+        + [f for f in link([1], boundary_of_simplex(3)).facets]
+    )
+    assert all(type(f) is Simplex for f in built)
 
 
 def test_complex_rejects_nested_facets():
     with pytest.raises(ValueError, match="use closure"):
         Complex([(1, 2, 3), (1, 2)])
+    with pytest.raises(ValueError, match="duplicate vertex"):
+        Complex([(1, 2, 2)])
+    with pytest.raises(ValueError, match="non-negative"):
+        Complex([(1, -2, 3)])
     # closure accepts the same family and drops the dominated member
     k = closure([(1, 2, 3), (1, 2)])
     assert k.facets == frozenset({Simplex([1, 2, 3])})

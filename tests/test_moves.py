@@ -31,6 +31,14 @@ def test_move_data_and_inverse():
     assert str(m) == "chi([1, 2], [3, 4])"
     with pytest.raises(MoveError, match="disjoint"):
         BistellarMove((1, 2), (2, 3))
+    # plain tuples are validated and normalized into sorted Simplex values
+    m = BistellarMove((3, 1), (2,))
+    assert m.a == (1, 3) and m.b == (2,)
+    assert type(m.a) is Simplex and type(m.b) is Simplex
+    with pytest.raises(ValueError, match="duplicate vertex"):
+        BistellarMove((1, 1), (2,))
+    with pytest.raises(ValueError, match="non-negative"):
+        BistellarMove((1, 2), (-3,))
 
 
 def test_fsum_delta():
@@ -104,10 +112,20 @@ def test_apply_rejects_bad_moves():
         apply_bistellar(s2, BistellarMove((1, 2, 3), (4,)))
     with pytest.raises(MoveError, match="already present"):
         apply_bistellar(s2, BistellarMove((1, 2), (3, 4)))
+    with pytest.raises(MoveError) as excinfo:
+        apply_bistellar(s2, BistellarMove((1, 2), (3, 4)))
+    assert str(excinfo.value) == (
+        "cannot apply chi([1, 2], [3, 4]): candidate co-simplex [3, 4] already present"
+    )
     b = bipyramid()
     # right simplex, wrong co-simplex
     with pytest.raises(MoveError, match="boundary of"):
         apply_bistellar(b, BistellarMove((1, 2), (3, 4)))
+    with pytest.raises(MoveError) as excinfo:
+        apply_bistellar(b, BistellarMove((1, 2), (3, 4)))
+    assert str(excinfo.value) == (
+        "cannot apply chi([1, 2], [3, 4]): link of (1, 2) is the boundary of (4, 5)"
+    )
     # boundary simplices of a disk never move
     with pytest.raises(MoveError, match="lies in the boundary"):
         apply_bistellar(hexagon_disk(), BistellarMove((1, 2), (3, 7)))

@@ -1,5 +1,7 @@
 """Flip-graph search, recorded walks, replay, reduction, alignment."""
 
+import hashlib
+
 import pytest
 
 from plmoves import (
@@ -11,6 +13,8 @@ from plmoves import (
     SearchError,
     apply_bistellar,
     boundary_of_simplex,
+    canonical_facet_text,
+    emit_sequence,
     f_vector,
     find_isomorphism,
     flip_search,
@@ -22,8 +26,8 @@ from plmoves import (
     stellar_subdivide,
     stratified_align,
 )
-from plmoves.demos import bipyramid, filtered_s2_equator
-from support import disk_with_interior_triangle
+from plmoves.demos import bipyramid, filtered_s2_equator, torus7
+from support import disk_with_interior_triangle, hexagon_disk
 
 
 def test_state_fingerprint_is_label_sensitive_and_stable():
@@ -171,3 +175,50 @@ def test_move_sequence_iterates_records():
     _, seq = random_walk(s2, 3, seed=1)
     kinds = [r.kind for r in seq]
     assert kinds == ["bistellar"] * 3
+
+
+def _output_digest(seq, end):
+    h = hashlib.sha256()
+    for part in (emit_sequence(seq), canonical_facet_text(end)):
+        h.update(part.encode("ascii"))
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+# Certificates and end complexes of fixed seeds, recorded before simplices
+# built inside the package stopped being re-validated; any change to move
+# order, labels or tie-breaking shows up here.
+OUTPUT_DIGESTS = {
+    "walk_s3": "e80149ec1f8a9ad92f09a047a3fbb14ff86726dc9af6007beebbab4d488d8074",
+    "walk_torus7": "90beb82bd64bb766878241894576c2733cf2772e228db262a649dda81b6618af",
+    "walk_disk": "c064c3d5e14026c428f2c5744128314b0ca54ce442d03506c0b134838894fff5",
+    "reduce_s3": "003ba41ee5fb898414c9de7b7bd749aaaad4aa0d36075c13f8e32f33a18ed255",
+    "search_s2": "93bb0abe3a7412af0b3ca8f8d54f88b29ba046c5d5c4046da63223fffffe1f04",
+    "search_s3": "68853a14804a8baf2abca02ac5800142cecd796cf306094823e036b14bd58b78",
+}
+
+
+def test_walk_reduce_and_search_outputs_are_byte_identical():
+    s3 = boundary_of_simplex(4)
+    walked, walk_seq = random_walk(s3, 40, seed=11)
+    assert len(walk_seq) == 40
+    assert replay(s3, walk_seq) == walked
+    red, red_seq = reduce(walked)
+    assert replay(walked, red_seq) == red
+    torus_end, torus_seq = random_walk(torus7(), 30, seed=12)
+    disk = hexagon_disk()
+    disk_end, disk_seq = random_walk(disk, 30, seed=13, avoid=disk.boundary_complex)
+    s2 = boundary_of_simplex(3)
+    s2_far, _ = random_walk(s2, 5, seed=14)
+    s2_seq = flip_search(s2, s2_far)
+    s3_far, _ = random_walk(s3, 4, seed=15)
+    s3_seq = flip_search(s3, s3_far)
+    got = {
+        "walk_s3": _output_digest(walk_seq, walked),
+        "walk_torus7": _output_digest(torus_seq, torus_end),
+        "walk_disk": _output_digest(disk_seq, disk_end),
+        "reduce_s3": _output_digest(red_seq, red),
+        "search_s2": _output_digest(s2_seq, replay(s2, s2_seq)),
+        "search_s3": _output_digest(s3_seq, replay(s3, s3_seq)),
+    }
+    assert got == OUTPUT_DIGESTS
