@@ -6,6 +6,10 @@ backends expose the same two entry points with identical outputs:
 
     snf_summary(entries, nrows, ncols) -> (rank, torsion-factor tuple)
     scan_moves(facets)                 -> [(a, b-or-None), ...]
+
+The package itself no longer calls ``scan_moves``: move sets are read from
+the star index of a complex and kept up to date by ``moves.MoveSet``.  The
+scan stays while the backend parity tests and the benchmark tracer name it.
 """
 
 import os

@@ -163,6 +163,8 @@ def _loads(text):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError("line %d column %d: %s" % (e.lineno, e.colno, e.msg)) from e
+    except RecursionError:
+        raise DocumentError("JSON nested too deeply") from None
 
 
 def parse_document(text: str) -> ComplexDocument:

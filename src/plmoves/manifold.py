@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .complexes import EMPTY, Complex, Simplex, cone, fresh_vertex, link
 from .homology import euler_characteristic, f_vector, homology, minimal_sphere_f_vector
-from .moves import MoveError, apply_bistellar, enumerate_moves
+from .moves import MoveError, MoveSet, fsum_delta
 
 
 class Verdict(enum.Enum):
@@ -128,29 +128,30 @@ def _reduces_to_minimal_sphere(k: Complex, move_budget: int = 600, seed: int = 7
     few seeded sideways flips to get past plateaus.  True only when the
     minimal sphere is actually reached."""
     target = minimal_sphere_f_vector(k.dim)
+    if f_vector(k) == target:
+        return True
+    try:
+        ms = MoveSet(k)
+    except MoveError:
+        return False
     rng = random.Random(seed)
-    state = k
     sideways = 0
     for _ in range(move_budget):
-        if f_vector(state) == target:
+        if ms.f_vector == target:
             return True
-        try:
-            cands = enumerate_moves(state)
-        except MoveError:
-            return False
-        improving = sorted(
-            (m for m in cands if m.fsum_delta() < 0), key=lambda m: (m.fsum_delta(), m.a)
-        )
-        if improving:
-            state = apply_bistellar(state, improving[0])
+        cands = ms.moves()
+        deltas = [fsum_delta(a, b) for a, b in cands]
+        best = min(deltas, default=0)
+        if best < 0:
+            ms.apply(*cands[deltas.index(best)])  # the least a among the best
             sideways = 0
             continue
-        flat = [m for m in cands if m.fsum_delta() == 0]
-        if not flat or sideways > 8 * len(state.vertices):
+        flat = [m for m, d in zip(cands, deltas) if d == 0]
+        if not flat or sideways > 8 * ms.f_vector[0]:
             return False
-        state = apply_bistellar(state, flat[rng.randrange(len(flat))])
+        ms.apply(*flat[rng.randrange(len(flat))])
         sideways += 1
-    return f_vector(state) == target
+    return ms.f_vector == target
 
 
 def _sphere_homology_ok(k: Complex, d: int) -> bool:

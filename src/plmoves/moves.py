@@ -7,13 +7,22 @@ complex; B is then a fresh vertex and the move is the subdivision of the
 facet A.  The inverse of chi_(A,B) is chi_(B,A):  both operations exist on
 combinatorial manifolds (with A interior when there is boundary), and
 applying one after the other restores the facet set exactly.
+
+A move changes only the closed star of A (Pachner's locality), and the move
+set is kept the same way.  :class:`MoveSet` reads the star index of a
+complex once and tests every face with its one candidate test; applying a
+move updates only the stars of the faces of the removed and added facets,
+and tests again those faces and the faces whose link is the boundary of a
+simplex that appeared or vanished.  ``enumerate_moves`` reads a fresh
+MoveSet once.  Random walks, ``reduce`` and the manifold reducer follow one
+MoveSet through all their steps and do not verify each step; replaying the
+certificate they return, which re-checks every precondition, is the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _kernel
 from .complexes import (
     EMPTY,
     Complex,
@@ -30,6 +39,18 @@ from .complexes import (
 
 class MoveError(ValueError):
     """A move was applied where its preconditions fail."""
+
+
+def fsum_delta(a, b) -> int:
+    """Change of the total simplex count under chi_(a, b): 2^|a| - 2^|b|."""
+    return (1 << len(a)) - (1 << len(b))
+
+
+def _inserted_facets(a: Simplex, b: Simplex) -> list[Simplex]:
+    """The facets of boundary(a) * b, which chi_(a, b) inserts."""
+    if len(a) == 1:
+        return [b]
+    return [a.without(x).joined(b) for x in a]
 
 
 @dataclass(frozen=True)
@@ -62,7 +83,7 @@ class BistellarMove:
 
     def fsum_delta(self):
         """Change of the total simplex count: 2^|a| - 2^|b|."""
-        return (1 << len(self.a)) - (1 << len(self.b))
+        return fsum_delta(self.a, self.b)
 
     def __str__(self):
         return "chi(%s, %s)" % (list(self.a), list(self.b))
@@ -137,10 +158,7 @@ def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
             )
     aset = set(a)
     kept = [f for f in k.facets if not aset <= set(f)]
-    if a.dim == 0:
-        added = [b]
-    else:
-        added = [a.without(x).joined(b) for x in a]
+    added = _inserted_facets(a, b)
     if k.is_pure:
         return Complex(kept + added, _trusted=True)
     return closure(kept + added)
@@ -160,6 +178,116 @@ def inserted_ball(move: BistellarMove) -> Complex:
     return join(simplex_boundary(move.a), simplex_complex(move.b))
 
 
+class MoveSet:
+    """The moves of a pure complex, kept current as moves are applied.
+
+    ``avoid`` and ``label_floor`` mean what they mean for
+    :func:`enumerate_moves`, which validates the same way.  ``apply`` takes
+    a move read from ``moves()`` and trusts it; the f-vector and the
+    largest label follow every step, so facet subdivisions always carry the
+    canonical fresh label of the current complex.
+    """
+
+    def __init__(self, k: Complex, avoid: Complex = EMPTY, label_floor: int = -1):
+        if k:
+            if not k.is_pure:
+                raise MoveError("move enumeration needs a pure complex")
+            if avoid and not avoid.is_subcomplex_of(k):
+                raise MoveError("avoid is not a subcomplex")
+            bd = k.boundary_complex
+            if bd and not bd.is_subcomplex_of(avoid):
+                raise MoveError("avoid must contain the boundary of a complex with boundary")
+        # boundary faces lie in avoid, and a move at a face outside avoid
+        # keeps both, so the faces skipped here never change
+        self._avoided = avoid.simplices if avoid else frozenset()
+        self._size = k.dim + 1
+        self._floor = label_floor
+        self._top = max(k.vertices, default=-1)
+        self._star = dict(k._star_index)  # face -> tuple of facets
+        self._f = [0] * self._size
+        self._moves = {}  # a -> b, or None for a facet (fresh vertex)
+        self._linked = {}  # a -> b where the link of a is the boundary of b
+        self._waiting = {}  # b -> faces linked to b, tested again when b comes or goes
+        for a in self._star:
+            self._f[len(a) - 1] += 1
+            self._test(a)
+
+    def _test(self, a):
+        """The candidate test: is chi_(a, .) available at the face a?"""
+        b = self._linked.pop(a, None)
+        if b is not None:
+            waiting = self._waiting[b]
+            waiting.discard(a)
+            if not waiting:
+                del self._waiting[b]
+        self._moves.pop(a, None)
+        fs = self._star.get(a)
+        if fs is None or a in self._avoided:
+            return
+        m = self._size - len(a)  # link facets have m vertices
+        if m == 0:
+            self._moves[a] = None
+            return
+        if len(fs) != m + 1:
+            return
+        rest = set().union(*fs).difference(a)
+        if len(rest) != m + 1:
+            return
+        b = tuple.__new__(Simplex, sorted(rest))
+        self._linked[a] = b
+        self._waiting.setdefault(b, set()).add(a)
+        if b not in self._star:
+            self._moves[a] = b
+
+    @property
+    def f_vector(self) -> tuple[int, ...]:
+        return tuple(self._f)
+
+    def moves(self) -> list[tuple[Simplex, Simplex]]:
+        """The available moves (a, b), in lexicographic order of a."""
+        fresh = tuple.__new__(Simplex, (max(self._top, self._floor) + 1,))
+        return [(a, fresh if b is None else b) for a, b in sorted(self._moves.items())]
+
+    def apply(self, a: Simplex, b: Simplex):
+        """Apply chi_(a, b), a move returned by ``moves()``."""
+        star = self._star
+        f = self._f
+        touched = set()
+        flipped = []  # faces that vanished or appeared
+        for facet in star[a]:
+            for s in facet.subsimplices():
+                fs = tuple(g for g in star[s] if g != facet)
+                if fs:
+                    star[s] = fs
+                else:
+                    del star[s]
+                    f[len(s) - 1] -= 1
+                    flipped.append(s)
+                touched.add(s)
+        for facet in _inserted_facets(a, b):
+            for s in facet.subsimplices():
+                fs = star.get(s)
+                if fs is None:
+                    star[s] = (facet,)
+                    f[len(s) - 1] += 1
+                    flipped.append(s)
+                    if len(s) == 1 and s[0] > self._top:
+                        self._top = s[0]
+                else:
+                    star[s] = fs + (facet,)
+                touched.add(s)
+        if (self._top,) not in star:
+            self._top = max((s[0] for s in star if len(s) == 1), default=-1)
+        for s in flipped:
+            touched.update(self._waiting.get(s, ()))
+        for s in touched:
+            self._test(s)
+
+    def complex(self) -> Complex:
+        """The current complex."""
+        return Complex([s for s in self._star if len(s) == self._size], _trusted=True)
+
+
 def enumerate_moves(
     k: Complex, avoid: Complex = EMPTY, label_floor: int = -1
 ) -> list[BistellarMove]:
@@ -173,23 +301,4 @@ def enumerate_moves(
     equals the restriction of ``k``.  Fresh vertices for facet subdivisions
     all use the canonical label max(labels, label_floor) + 1.
     """
-    if not k:
-        return []
-    if not k.is_pure:
-        raise MoveError("move enumeration needs a pure complex")
-    if avoid and not avoid.is_subcomplex_of(k):
-        raise MoveError("avoid is not a subcomplex")
-    bd = k.boundary_complex
-    if bd and not bd.is_subcomplex_of(avoid if avoid else EMPTY):
-        raise MoveError("avoid must contain the boundary of a complex with boundary")
-    avoided = avoid.simplices if avoid else frozenset()
-    fresh = Simplex([fresh_vertex(k, label_floor)])
-    out = []
-    # the kernel returns sorted vertex tuples of faces of k and of their links
-    for a_t, b_t in _kernel.scan_moves(sorted(tuple(f) for f in k.facets)):
-        if a_t in avoided:
-            continue
-        a = tuple.__new__(Simplex, a_t)
-        b = fresh if b_t is None else tuple.__new__(Simplex, b_t)
-        out.append(BistellarMove(a, b))
-    return out
+    return [BistellarMove(a, b) for a, b in MoveSet(k, avoid, label_floor).moves()]

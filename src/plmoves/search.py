@@ -3,10 +3,11 @@
 The searchable flip graph is a digraph over complexes with canonical
 labeling: flips and removals are always edges, while an insertion edge must
 use the one canonical fresh label max(labels, floor) + 1.  Recorded walks
-built from enumerate_moves live inside this graph, so a bidirectional
-breadth-first search can meet in the middle and return a certificate,
-verified by replay before anyone sees it.  Search is a semi-decision
-procedure: a None means the budget ran out, never that no sequence exists.
+draw from the same move sets as enumerate_moves and live inside this graph,
+so a bidirectional breadth-first search can meet in the middle and return a
+certificate, verified by replay before anyone sees it.  Search is a
+semi-decision procedure: a None means the budget ran out, never that no
+sequence exists.
 
 stratified_align mirrors the stratum-by-stratum induction of the main
 theorem: align the lowest differing stratum with an inner search, realize
@@ -40,7 +41,14 @@ from .filtration import (
     validate_filtration,
 )
 from .homology import euler_characteristic, f_vector, minimal_sphere_f_vector
-from .moves import BistellarMove, MoveError, apply_bistellar, enumerate_moves
+from .moves import (
+    BistellarMove,
+    MoveError,
+    MoveSet,
+    apply_bistellar,
+    enumerate_moves,
+    fsum_delta,
+)
 from .stark import StarkComplex, StarkMove, apply_stark_move
 
 
@@ -270,18 +278,22 @@ def random_walk(
     label_floor: int = -1,
 ) -> tuple[Complex, MoveSequence]:
     """A recorded random walk in the flip graph; uniform over the moves
-    available at each step, deterministic for a fixed seed."""
+    available at each step, deterministic for a fixed seed.  The steps
+    follow one incremental move set and are not verified one by one:
+    replaying the certificate is the check."""
+    if steps <= 0:
+        return k, MoveSequence.for_state(k, [])
     rng = random.Random(seed)
     records = []
-    current = k
+    ms = MoveSet(k, avoid, label_floor)
     for _ in range(steps):
-        moves = enumerate_moves(current, avoid, label_floor)
+        moves = ms.moves()
         if not moves:
             break
-        move = rng.choice(moves)
-        current = apply_bistellar(current, move)
-        records.append(MoveRecord("bistellar", move))
-    return current, MoveSequence.for_state(k, records)
+        a, b = rng.choice(moves)
+        ms.apply(a, b)
+        records.append(MoveRecord("bistellar", BistellarMove(a, b)))
+    return ms.complex(), MoveSequence.for_state(k, records)
 
 
 def random_extended_walk(
@@ -313,46 +325,43 @@ def reduce(
     lexicographic move); on a plateau, spend a bounded allowance of seeded
     sideways or mildly uphill moves, never exceeding the recorded
     simplex-count high-water mark plus ``relax``.  Stops at the f-vector of
-    a simplex boundary, on stall, or when the budget runs out; the result
-    always replays.
+    a simplex boundary, on stall, or when the budget runs out.  Like
+    random_walk it follows one incremental move set without verifying each
+    step; the certificate always replays.
     """
+    minimal = minimal_sphere_f_vector(k.dim)
+    if move_budget <= 0 or f_vector(k) == minimal:
+        return k, MoveSequence.for_state(k, [])
     rng = random.Random(seed)
     records = []
-    current = k
-    minimal = minimal_sphere_f_vector(k.dim)
-    high = len(k.simplices)
+    ms = MoveSet(k)
+    high = sum(ms.f_vector)
     sideways_left = 8 * len(k.vertices) + 16
     while len(records) < move_budget:
-        if f_vector(current) == minimal:
+        if ms.f_vector == minimal:
             break
-        moves = enumerate_moves(current)
+        moves = ms.moves()
         if not moves:
             break
-        best = min(m.fsum_delta() for m in moves)
-        size = len(current.simplices)
+        deltas = [fsum_delta(a, b) for a, b in moves]
+        best = min(deltas)
         if best < 0:
-            move = min(
-                (m for m in moves if m.fsum_delta() == best),
-                key=lambda m: (m.a, m.b),
-            )
+            a, b = moves[deltas.index(best)]  # the least a among the best
         else:
             if sideways_left <= 0:
                 break
-            pool = [m for m in moves if m.fsum_delta() == 0]
-            if not pool:
-                allowance = high + relax - size
-                deltas = sorted(
-                    {m.fsum_delta() for m in moves if 0 < m.fsum_delta() <= allowance}
-                )
-                if not deltas:
+            step = 0
+            if 0 not in deltas:
+                allowance = high + relax - sum(ms.f_vector)
+                step = min((d for d in deltas if 0 < d <= allowance), default=None)
+                if step is None:
                     break
-                pool = [m for m in moves if m.fsum_delta() == deltas[0]]
-            move = rng.choice(sorted(pool, key=lambda m: (m.a, m.b)))
+            a, b = rng.choice([m for m, d in zip(moves, deltas) if d == step])
             sideways_left -= 1
-        current = apply_bistellar(current, move)
-        records.append(MoveRecord("bistellar", move))
-        high = max(high, len(current.simplices))
-    return current, MoveSequence.for_state(k, records)
+        ms.apply(a, b)
+        records.append(MoveRecord("bistellar", BistellarMove(a, b)))
+        high = max(high, sum(ms.f_vector))
+    return ms.complex(), MoveSequence.for_state(k, records)
 
 
 def _strata_key(fc: FilteredComplex) -> str:

@@ -1,9 +1,13 @@
 """The command line interface: exit codes, formats, pipelines."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import plmoves
 from plmoves import emit_document, parse_document, to_complex
 from plmoves.demos import demo_document
 from support import run_cli
@@ -106,6 +110,28 @@ def test_nested_facets_are_a_schema_error():
         assert code == 2, command
         assert err.startswith("document error:") and "is a face of" in err
         assert "Traceback" not in err
+
+
+def test_deeply_nested_json_is_a_schema_error(tmp_path):
+    deep = '{"dimension": 1, "facets": ' + "[" * 5000 + "]" * 5000 + "}"
+    deep_file = write(tmp_path, "deep.json", deep)
+    start = write(tmp_path, "start.json", demo_text("bipyramid"))
+    src = os.path.dirname(os.path.dirname(plmoves.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for command in (
+        ["validate", "--input", deep_file],
+        ["moves", "apply", "--input", start, "--sequence", deep_file],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "plmoves.cli"] + command,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2, command
+        assert proc.stderr.startswith("document error:"), command
+        assert "Traceback" not in proc.stderr, command
 
 
 def test_missing_input_file_exits_1(tmp_path):

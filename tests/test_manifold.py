@@ -5,7 +5,9 @@ from plmoves import (
     Verdict,
     boundary_of_simplex,
     check_combinatorial_manifold,
+    random_walk,
     sphere_or_ball_verdict,
+    star,
 )
 from plmoves.demos import bipyramid, rp2_6, torus7
 from support import hexagon_disk
@@ -78,3 +80,29 @@ def test_report_renders_offenders():
     text = str(r)
     assert "combinatorial manifold: no" in text
     assert "offenders" in text
+
+
+# Reports on walked spheres, recorded before the manifold reducer followed
+# one incremental move set.  An "unknown" is a vertex link whose greedy
+# reduction stalls; it must stall on the same links.
+WALKED_REPORTS = {
+    (3, 30, 0): "combinatorial manifold: yes",
+    (3, 30, 1): "combinatorial manifold: yes",
+    (3, 60, 2): "combinatorial manifold: yes",
+    (4, 30, 0): "combinatorial manifold: unknown; offenders: [7] (vertex link verdict unknown)",
+    (4, 30, 1): "combinatorial manifold: yes",
+    (4, 60, 1): "combinatorial manifold: unknown; offenders: "
+    "[2] (vertex link verdict unknown), [11] (vertex link verdict unknown)",
+    (4, 60, 3): "combinatorial manifold: yes",
+}
+
+
+def test_walked_sphere_reports_are_unchanged():
+    for (n, steps, seed), want in WALKED_REPORTS.items():
+        walked, _ = random_walk(boundary_of_simplex(n + 1), steps, seed=seed)
+        assert str(check_combinatorial_manifold(walked)) == want, (n, steps, seed)
+        if n == 3:
+            # the closed star of a vertex is a 3-ball, proved by coning off
+            # its boundary and reducing the resulting sphere
+            ball = star((max(walked.vertices),), walked)
+            assert sphere_or_ball_verdict(ball, 3) == (Verdict.YES, "ball")

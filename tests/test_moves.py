@@ -1,8 +1,13 @@
 """Bistellar moves: applicability, application, enumeration."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmoves import (
+    EMPTY,
     BistellarMove,
     Complex,
     MoveError,
@@ -12,12 +17,14 @@ from plmoves import (
     bistellar_applicable,
     boundary_of_simplex,
     enumerate_moves,
+    f_vector,
     inserted_ball,
     inverse_move,
     replaced_ball,
     stellar_subdivide,
 )
-from plmoves.demos import bipyramid
+from plmoves.demos import bipyramid, rp2_6, torus7
+from plmoves.moves import MoveSet
 from support import hexagon_disk
 
 
@@ -188,3 +195,51 @@ def test_moves_in_dimension_three_change_count_by_4_or_14():
         after = apply_bistellar(walk, m)
         assert len(after.simplices) - len(walk.simplices) == m.fsum_delta()
     assert seen <= {-14, -4, 4, 14}
+
+
+def _moveset_starts():
+    disk = hexagon_disk()
+    return {
+        "s2": (boundary_of_simplex(3), EMPTY, -1),
+        "s3": (boundary_of_simplex(4), EMPTY, -1),
+        "s4": (boundary_of_simplex(5), EMPTY, -1),
+        "torus7": (torus7(), EMPTY, -1),
+        "rp2_6": (rp2_6(), EMPTY, -1),
+        "disk": (disk, disk.boundary_complex, -1),
+        "s3_floor": (boundary_of_simplex(4), EMPTY, 30),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_moveset_starts()))
+@settings(max_examples=10)
+@given(seed=st.integers(min_value=0, max_value=2**16))
+def test_moveset_follows_a_walk_like_a_fresh_scan(name, seed):
+    k, avoid, floor = _moveset_starts()[name]
+    rng = random.Random(seed)
+    ms = MoveSet(k, avoid, floor)
+    state = k
+    top_removals = 0
+    for _ in range(30):
+        moves = ms.moves()
+        fresh_scan = enumerate_moves(ms.complex(), avoid, floor)
+        assert moves == [(m.a, m.b) for m in fresh_scan]
+        assert ms.f_vector == f_vector(state)
+        # often remove the vertex with the largest label when it may go, so
+        # that the largest label and the fresh label fall back
+        top = (max(state.vertices),)
+        removal = [m for m in moves if m[0] == top]
+        a, b = removal[0] if removal and rng.random() < 0.5 else rng.choice(moves)
+        top_removals += a == top
+        ms.apply(a, b)
+        state = apply_bistellar(state, BistellarMove(a, b))
+        assert ms.complex() == state
+    assert ms.f_vector == f_vector(state)
+    # an independent oracle: the link test at every face outside avoid
+    expected = [
+        bistellar_applicable(state, s, floor)
+        for s in sorted(state.simplices)
+        if s not in avoid
+    ]
+    assert [BistellarMove(a, b) for a, b in ms.moves()] == [m for m in expected if m]
+    if name in ("s2", "s3", "s3_floor"):
+        assert top_removals

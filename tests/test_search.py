@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from plmoves import (
+    EMPTY,
     BistellarMove,
     Complex,
     MoveRecord,
@@ -26,7 +27,7 @@ from plmoves import (
     stellar_subdivide,
     stratified_align,
 )
-from plmoves.demos import bipyramid, filtered_s2_equator, torus7
+from plmoves.demos import bipyramid, filtered_s2_equator, rp2_6, torus7
 from support import disk_with_interior_triangle, hexagon_disk
 
 
@@ -133,6 +134,41 @@ def test_reduce_comes_back_from_a_walk():
     red, seq = reduce(walked)
     assert f_vector(red) == (4, 6, 4)
     assert replay(walked, seq) == red
+
+
+def _walk_starts():
+    disk = hexagon_disk()
+    inner = disk_with_interior_triangle()
+    return {
+        "bipyramid": (bipyramid(), EMPTY),
+        "torus7": (torus7(), EMPTY),
+        "rp2_6": (rp2_6(), EMPTY),
+        "s2": (boundary_of_simplex(3), EMPTY),
+        "s3": (boundary_of_simplex(4), EMPTY),
+        "s4": (boundary_of_simplex(5), EMPTY),
+        "hexagon_disk": (disk, disk.boundary_complex),
+        "disk_with_interior_triangle": (inner, inner.boundary_complex),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_walk_starts()))
+def test_walk_and_reduce_certificates_replay_and_repeat(name):
+    # walks and reduce follow one move set without verifying each step;
+    # replaying their certificates is the check
+    k, avoid = _walk_starts()[name]
+    for seed in range(3):
+        end, seq = random_walk(k, 25, seed=seed, avoid=avoid)
+        assert replay(k, seq) == end
+        end_again, seq_again = random_walk(k, 25, seed=seed, avoid=avoid)
+        assert end_again == end
+        assert emit_sequence(seq_again) == emit_sequence(seq)
+        if avoid:
+            continue  # reduce takes closed complexes only
+        red, red_seq = reduce(end, seed=seed)
+        assert replay(end, red_seq) == red
+        red_again, red_seq_again = reduce(end, seed=seed)
+        assert red_again == red
+        assert emit_sequence(red_seq_again) == emit_sequence(red_seq)
 
 
 def test_stratified_align_identity():
