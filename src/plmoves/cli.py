@@ -218,6 +218,13 @@ def _cmd_search(args) -> int:
     k1 = to_complex(_load_document(args.input))
     k2 = to_complex(_load_document(args.target))
     avoid = to_complex(_load_document(args.avoid)) if args.avoid else EMPTY
+    # bistellar moves keep both, so a mismatch proves that no sequence exists
+    if k1.dim != k2.dim:
+        print("no sequence exists: the ends differ in dimension")
+        return 1
+    if euler_characteristic(k1) != euler_characteristic(k2):
+        print("no sequence exists: the ends differ in Euler characteristic")
+        return 1
     seq = flip_search(k1, k2, avoid=avoid, budget=_budget(args))
     if seq is None:
         print("not found within budget")

@@ -15,8 +15,11 @@ move updates only the stars of the faces of the removed and added facets,
 and tests again those faces and the faces whose link is the boundary of a
 simplex that appeared or vanished.  ``enumerate_moves`` reads a fresh
 MoveSet once.  Random walks, ``reduce`` and the manifold reducer follow one
-MoveSet through all their steps and do not verify each step; replaying the
-certificate they return, which re-checks every precondition, is the check.
+MoveSet through all their steps and do not verify each step; ``flip_search``
+reads the MoveSet of each state it expands and builds each successor with
+``_rebuild``, the unverified rebuild that ``apply_bistellar`` also ends in.
+Replaying the certificate they return, which re-checks every precondition,
+is the check.
 """
 
 from __future__ import annotations
@@ -47,10 +50,21 @@ def fsum_delta(a, b) -> int:
 
 
 def _inserted_facets(a: Simplex, b: Simplex) -> list[Simplex]:
-    """The facets of boundary(a) * b, which chi_(a, b) inserts."""
+    """The facets of boundary(a) * b, which chi_(a, b) inserts; a and b are
+    disjoint, as every move's ends are."""
     if len(a) == 1:
         return [b]
-    return [a.without(x).joined(b) for x in a]
+    ab = sorted(a + b)
+    return [tuple.__new__(Simplex, [v for v in ab if v != x]) for x in a]
+
+
+def _rebuild(k: Complex, a: Simplex, b: Simplex) -> Complex:
+    """chi_(a, b) applied to the pure complex k, unverified: the facets of
+    k outside the star of a, plus those of boundary(a) * b."""
+    return Complex(
+        k.facets.difference(k._star_index[a]).union(_inserted_facets(a, b)),
+        _trusted=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -156,12 +170,9 @@ def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
             raise MoveError(
                 "cannot apply %s: link of %s is the boundary of %s" % (move, a, expected)
             )
-    aset = set(a)
-    kept = [f for f in k.facets if not aset <= set(f)]
-    added = _inserted_facets(a, b)
     if k.is_pure:
-        return Complex(kept + added, _trusted=True)
-    return closure(kept + added)
+        return _rebuild(k, a, b)
+    return closure(k.facets.difference(k._star_index[a]).union(_inserted_facets(a, b)))
 
 
 def inverse_move(move: BistellarMove) -> BistellarMove:

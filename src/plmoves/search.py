@@ -5,9 +5,12 @@ labeling: flips and removals are always edges, while an insertion edge must
 use the one canonical fresh label max(labels, floor) + 1.  Recorded walks
 draw from the same move sets as enumerate_moves and live inside this graph,
 so a bidirectional breadth-first search can meet in the middle and return a
-certificate, verified by replay before anyone sees it.  Search is a
-semi-decision procedure: a None means the budget ran out, never that no
-sequence exists.
+certificate.  The search reads the move set of each state it expands and
+builds every successor from its parent's star index without verifying the
+move; the certificate is verified by replay before anyone sees it.  Search
+is a semi-decision procedure: a None means the budget ran out, except when
+the ends differ in dimension or Euler characteristic, which no sequence of
+moves changes.
 
 stratified_align mirrors the stratum-by-stratum induction of the main
 theorem: align the lowest differing stratum with an inner search, realize
@@ -45,8 +48,8 @@ from .moves import (
     BistellarMove,
     MoveError,
     MoveSet,
+    _rebuild,
     apply_bistellar,
-    enumerate_moves,
     fsum_delta,
 )
 from .stark import StarkComplex, StarkMove, apply_stark_move
@@ -217,6 +220,12 @@ def _bidirectional(start, goal, expand_fw, expand_bw, key, budget: SearchBudget)
     return None
 
 
+def _fresh_without(k: Complex, v: int, floor: int) -> int:
+    """The canonical fresh label of k once its vertex v is removed, read
+    from the labels of k: fresh_vertex of the result, without building it."""
+    return max(max((u for u in k.vertices if u != v), default=-1), floor) + 1
+
+
 def flip_search(
     k1: Complex,
     k2: Complex,
@@ -225,12 +234,20 @@ def flip_search(
     label_floor: int = -1,
 ) -> MoveSequence | None:
     """A bistellar certificate from k1 to k2 touching only moves from
-    enumerate_moves(., avoid), or None when the budget runs out.
+    enumerate_moves(., avoid), or None.
 
-    Backward expansion enumerates insertion predecessors: a removed label
-    must either be canonically fresh for the predecessor or come back from
-    the label set of the two ends; ephemeral helper labels beyond that are
-    out of reach, which only ever costs completeness, never soundness.
+    None means the budget ran out, or that the ends differ in dimension or
+    Euler characteristic, which bistellar moves preserve; only the second
+    is a proof that no sequence exists.
+
+    Every state's moves come from its own move set, and each successor is
+    its parent minus the star of a plus boundary(a) * b, built without
+    verifying the move again; replaying the returned certificate, with
+    every precondition checked, is the check.  Backward expansion
+    enumerates insertion predecessors: a removed label must either be
+    canonically fresh for the predecessor or come back from the label set
+    of the two ends; ephemeral helper labels beyond that are out of reach,
+    which only ever costs completeness, never soundness.
     """
     budget = budget or SearchBudget()
     if avoid and not (avoid.is_subcomplex_of(k1) and avoid.is_subcomplex_of(k2)):
@@ -239,32 +256,36 @@ def flip_search(
         return None
     end_labels = k1.vertices | k2.vertices
 
+    # Edges carry moves as (a, b) pairs; only the certificate's become
+    # BistellarMove records.  Each state is expanded through a copy, so the
+    # states the search keeps hold their facets but not the star index and
+    # boundary derived while expanding them.
     def expand_fw(k):
-        return [(m, apply_bistellar(k, m)) for m in enumerate_moves(k, avoid, label_floor)]
+        k = Complex(k.facets, _trusted=True)
+        for a, b in MoveSet(k, avoid, label_floor).moves():
+            yield (a, b), _rebuild(k, a, b)
 
     def expand_bw(k):
-        out = []
-        for m in enumerate_moves(k, avoid, label_floor):
-            if m.b.dim == 0 and m.b[0] not in k.vertices:
+        k = Complex(k.facets, _trusted=True)
+        for a, b in MoveSet(k, avoid, label_floor).moves():
+            if len(b) == 1:
                 continue  # insertions on k are handled with chosen labels below
-            result = apply_bistellar(k, m)
-            if m.a.dim == 0 and m.a[0] != fresh_vertex(result, label_floor):
+            if len(a) == 1 and a[0] != _fresh_without(k, a[0], label_floor):
                 continue  # the reverse insertion would use a non-canonical label
-            out.append((m.inverse(), result))
-        labels = sorted((end_labels - k.vertices) | {fresh_vertex(k, label_floor)})
-        for v in labels:
-            vertex = Simplex([v])
-            for facet in sorted(k.facets):
-                if facet in avoid:
-                    continue  # subdividing it would remove it from the predecessor
-                grow = BistellarMove(facet, vertex)
-                out.append((grow.inverse(), apply_bistellar(k, grow)))
-        return out
+            yield (b, a), _rebuild(k, a, b)
+        # subdividing a facet of avoid would remove it from the predecessor
+        facets = [f for f in sorted(k.facets) if f not in avoid]
+        for v in sorted((end_labels - k.vertices) | {fresh_vertex(k, label_floor)}):
+            vertex = tuple.__new__(Simplex, (v,))
+            for facet in facets:
+                yield (vertex, facet), _rebuild(k, facet, vertex)
 
     moves = _bidirectional(k1, k2, expand_fw, expand_bw, canonical_facet_text, budget)
     if moves is None:
         return None
-    seq = MoveSequence.for_state(k1, [MoveRecord("bistellar", m) for m in moves])
+    seq = MoveSequence.for_state(
+        k1, [MoveRecord("bistellar", BistellarMove(a, b)) for a, b in moves]
+    )
     if replay(k1, seq) != k2:
         raise SearchError("internal error: certificate failed replay")
     return seq
@@ -327,11 +348,14 @@ def reduce(
     simplex-count high-water mark plus ``relax``.  Stops at the f-vector of
     a simplex boundary, on stall, or when the budget runs out.  Like
     random_walk it follows one incremental move set without verifying each
-    step; the certificate always replays.
+    step; the certificate always replays.  A complex with boundary is
+    refused with a SearchError.
     """
     minimal = minimal_sphere_f_vector(k.dim)
     if move_budget <= 0 or f_vector(k) == minimal:
         return k, MoveSequence.for_state(k, [])
+    if k.boundary_complex:
+        raise SearchError("reduce needs a closed complex; this one has boundary")
     rng = random.Random(seed)
     records = []
     ms = MoveSet(k)

@@ -281,6 +281,31 @@ def test_reduce_structured():
     assert data["result"]["facets"] == [[1, 2, 3], [1, 2, 5], [1, 3, 5], [2, 3, 5]]
 
 
+def test_reduce_refuses_a_complex_with_boundary():
+    disk = json.dumps(
+        {"dimension": 2, "facets": [[i, i % 6 + 1, 7] for i in range(1, 7)]}
+    )
+    code, out, err = run_cli(["reduce", "--input", "-"], stdin=disk)
+    assert code == 1 and not out
+    assert err.strip() == "error: reduce needs a closed complex; this one has boundary"
+
+
+def test_search_reports_ends_no_sequence_can_join(tmp_path):
+    s2 = write(tmp_path, "s2.json", demo_text("sphere-boundary", n=2))
+    s3 = write(tmp_path, "s3.json", demo_text("sphere-boundary", n=3))
+    disk = write(
+        tmp_path,
+        "disk.json",
+        json.dumps({"dimension": 2, "facets": [[i, i % 6 + 1, 7] for i in range(1, 7)]}),
+    )
+    code, out, _ = run_cli(["search", "--input", s2, "--target", disk])
+    assert code == 1
+    assert out.strip() == "no sequence exists: the ends differ in Euler characteristic"
+    code, out, _ = run_cli(["search", "--input", s2, "--target", s3])
+    assert code == 1
+    assert out.strip() == "no sequence exists: the ends differ in dimension"
+
+
 def test_extend_builds_the_thickened_ball():
     edge = json.dumps({"dimension": 1, "facets": [[1, 2]]})
     code, out, _ = run_cli(["extend", "--input", "-"], stdin=edge)

@@ -1,8 +1,11 @@
 """Flip-graph search, recorded walks, replay, reduction, alignment."""
 
 import hashlib
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmoves import (
     EMPTY,
@@ -16,9 +19,11 @@ from plmoves import (
     boundary_of_simplex,
     canonical_facet_text,
     emit_sequence,
+    enumerate_moves,
     f_vector,
     find_isomorphism,
     flip_search,
+    fresh_vertex,
     random_extended_walk,
     random_walk,
     reduce,
@@ -28,6 +33,8 @@ from plmoves import (
     stratified_align,
 )
 from plmoves.demos import bipyramid, filtered_s2_equator, rp2_6, torus7
+from plmoves.moves import _rebuild
+from plmoves.search import _fresh_without
 from support import disk_with_interior_triangle, hexagon_disk
 
 
@@ -128,6 +135,14 @@ def test_reduce_is_a_no_op_on_minimal_spheres():
     assert len(seq) == 0
 
 
+def test_reduce_refuses_a_complex_with_boundary():
+    disk = hexagon_disk()
+    with pytest.raises(SearchError, match="reduce needs a closed complex; this one has boundary"):
+        reduce(disk)
+    # a budget of no moves still returns before anything is checked
+    assert reduce(disk, move_budget=0) == (disk, MoveSequence.for_state(disk, []))
+
+
 def test_reduce_comes_back_from_a_walk():
     s2 = boundary_of_simplex(3)
     walked, _ = random_walk(s2, 12, seed=21)
@@ -222,8 +237,9 @@ def _output_digest(seq, end):
 
 
 # Certificates and end complexes of fixed seeds, recorded before simplices
-# built inside the package stopped being re-validated; any change to move
-# order, labels or tie-breaking shows up here.
+# built inside the package stopped being re-validated (the torus7 and disk
+# searches: before the search stopped verifying each edge); any change to
+# move order, labels or tie-breaking shows up here.
 OUTPUT_DIGESTS = {
     "walk_s3": "e80149ec1f8a9ad92f09a047a3fbb14ff86726dc9af6007beebbab4d488d8074",
     "walk_torus7": "90beb82bd64bb766878241894576c2733cf2772e228db262a649dda81b6618af",
@@ -231,6 +247,8 @@ OUTPUT_DIGESTS = {
     "reduce_s3": "003ba41ee5fb898414c9de7b7bd749aaaad4aa0d36075c13f8e32f33a18ed255",
     "search_s2": "93bb0abe3a7412af0b3ca8f8d54f88b29ba046c5d5c4046da63223fffffe1f04",
     "search_s3": "68853a14804a8baf2abca02ac5800142cecd796cf306094823e036b14bd58b78",
+    "search_torus7": "f7224e62fadc3ecb1797b343f725c700871ca4dbbf6a9c3f2d6cc70644987cdc",
+    "search_disk": "36ef461eddce313b9ded6c813777b10e87216499e27ac1ccc8f0e7a26f658dd5",
 }
 
 
@@ -249,6 +267,12 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
     s2_seq = flip_search(s2, s2_far)
     s3_far, _ = random_walk(s3, 4, seed=15)
     s3_seq = flip_search(s3, s3_far)
+    torus_near, _ = random_walk(torus7(), 3, seed=16)
+    torus_search = flip_search(torus7(), torus_near)
+    # with the rim avoided, insertion predecessors come from facets outside it
+    rim = disk.boundary_complex
+    disk_near, _ = random_walk(disk, 4, seed=16, avoid=rim)
+    disk_search = flip_search(disk, disk_near, avoid=rim)
     got = {
         "walk_s3": _output_digest(walk_seq, walked),
         "walk_torus7": _output_digest(torus_seq, torus_end),
@@ -256,5 +280,74 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
         "reduce_s3": _output_digest(red_seq, red),
         "search_s2": _output_digest(s2_seq, replay(s2, s2_seq)),
         "search_s3": _output_digest(s3_seq, replay(s3, s3_seq)),
+        "search_torus7": _output_digest(torus_search, replay(torus7(), torus_search)),
+        "search_disk": _output_digest(disk_search, replay(disk, disk_search)),
     }
     assert got == OUTPUT_DIGESTS
+
+
+def _checked_rebuild(k, a, b):
+    # the rebuild apply_bistellar made before it read the star index
+    added = [b] if len(a) == 1 else [a.without(x).joined(b) for x in a]
+    return Complex([f for f in k.facets if not set(a) <= set(f)] + added)
+
+
+def _rebuild_starts():
+    disk = hexagon_disk()
+    return {
+        "s2": (boundary_of_simplex(3), EMPTY),
+        "s3": (boundary_of_simplex(4), EMPTY),
+        "torus7": (torus7(), EMPTY),
+        "disk": (disk, disk.boundary_complex),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_rebuild_starts()))
+@settings(max_examples=10)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    steps=st.integers(min_value=1, max_value=8),
+    floor=st.integers(min_value=0, max_value=16),
+)
+def test_search_expansion_matches_checked_moves(name, seed, steps, floor):
+    # flip_search builds successors with _rebuild and tests reverse
+    # insertions by label arithmetic on the parent; both must agree with
+    # the checked constructions at every state of a walk
+    k, avoid = _rebuild_starts()[name]
+    _, walk = random_walk(k, steps, seed=seed, avoid=avoid)
+    state = k
+    removals = 0
+    for record in walk:
+        for label_floor in (-1, floor):
+            for m in enumerate_moves(state, avoid, label_floor):
+                result = _rebuild(state, m.a, m.b)
+                assert result == _checked_rebuild(state, m.a, m.b)
+                if m.a.dim == 0:
+                    removals += 1
+                    assert _fresh_without(state, m.a[0], label_floor) == fresh_vertex(
+                        result, label_floor
+                    )
+        state = apply_bistellar(state, record.move)
+    if name in ("s2", "s3") and len(walk) > 1:
+        # the first move on a minimal sphere inserts a removable vertex
+        assert removals
+
+
+def test_search_certificates_repeat_within_a_process():
+    s3 = boundary_of_simplex(4)
+    s3_end, _ = random_walk(s3, 4, seed=3)
+    disk = hexagon_disk()
+    rim = disk.boundary_complex
+    disk_end, _ = random_walk(disk, 4, seed=20, avoid=rim)
+    fc = filtered_s2_equator()
+    fc_end, _ = random_extended_walk(fc, 2, seed=3)
+    runs = [
+        (
+            emit_sequence(flip_search(s3, s3_end)),
+            emit_sequence(flip_search(disk, disk_end, avoid=rim)),
+            emit_sequence(stratified_align(fc, fc_end)),
+        )
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    assert all(json.loads(text)["moves"] for text in runs[0])
