@@ -1,10 +1,12 @@
 """Compare the pure-Python and compiled kernels on representative work.
 
 Runs both backends in-process on the same inputs and reports per-call wall
-time.  Inputs are boundary matrices (for snf_summary) and facet lists of
-random-walk states (for scan_moves) across the demo complexes.
+time.  Inputs are boundary matrices (for snf_summary), read from the same
+face-index table ``homology`` builds, and facet lists of random-walk states
+(for scan_moves) across the demo complexes.  Without a compiled kernel it
+times the pure backend alone.
 
-    python3 benchmarks/bench_backends.py [--repeat N] [--walk STEPS]
+    PYTHONPATH=src python3 benchmarks/bench_backends.py [--repeat N] [--walk STEPS]
 """
 
 from __future__ import annotations
@@ -15,20 +17,12 @@ import time
 from plmoves import boundary_of_simplex, random_walk
 from plmoves._kernel import pure
 from plmoves.demos import rp2_6, torus7
-from plmoves.homology import _boundary_entries  # noqa: the real workload
+from plmoves.homology import _boundary_entries, _face_index
 
 try:
     from plmoves._kernel import _speed
 except ImportError:
     _speed = None
-
-
-def _boundary_matrix(k, d):
-    lower = sorted(k.simplices_of_dim(d - 1))
-    upper = sorted(k.simplices_of_dim(d))
-    lower_index = {s: i for i, s in enumerate(lower)}
-    entries = list(_boundary_entries(k, d, lower_index, upper))
-    return entries, len(lower), len(upper)
 
 
 def _time(fn, args, repeat):
@@ -47,10 +41,6 @@ def main() -> int:
     parser.add_argument("--walk", type=int, default=60, help="random-walk length for scan states")
     args = parser.parse_args()
 
-    if _speed is None:
-        print("compiled kernel not importable; build it first (pip install -e .)")
-        return 1
-
     cases = []
     for name, k in (
         ("torus7", torus7()),
@@ -58,22 +48,28 @@ def main() -> int:
         ("S3 walk end", random_walk(boundary_of_simplex(4), args.walk, seed=0)[0]),
         ("S4 walk end", random_walk(boundary_of_simplex(5), args.walk, seed=0)[0]),
     ):
+        bases, faces = _face_index(k)
         for d in range(1, k.dim + 1):
-            entries, nr, nc = _boundary_matrix(k, d)
-            cases.append(("snf %s d=%d (%dx%d)" % (name, d, nr, nc), "snf", (entries, nr, nc)))
+            nr, nc = len(bases[d - 1]), len(bases[d])
+            payload = (_boundary_entries(faces[d]), nr, nc)
+            cases.append(("snf %s d=%d (%dx%d)" % (name, d, nr, nc), "snf", payload))
         facets = sorted(tuple(f) for f in k.facets)
         cases.append(("scan %s (%d facets)" % (name, len(facets)), "scan", (facets,)))
 
+    kernels = {"snf": pure.snf_summary, "scan": pure.scan_moves}
+    if _speed is None:
+        print("compiled kernel not importable; timing the pure backend alone")
+        print("%-34s %12s" % ("case", "pure"))
+        for label, kind, payload in cases:
+            a = _time(kernels[kind], payload, args.repeat)
+            print("%-34s %9.3f ms" % (label, a * 1e3))
+        return 0
+    compiled = {"snf": _speed.snf_summary, "scan": _speed.scan_moves}
     print("%-34s %12s %12s %8s" % ("case", "pure", "compiled", "ratio"))
     for label, kind, payload in cases:
-        if kind == "snf":
-            a = _time(pure.snf_summary, payload, args.repeat)
-            b = _time(_speed.snf_summary, payload, args.repeat)
-            check = pure.snf_summary(*payload) == _speed.snf_summary(*payload)
-        else:
-            a = _time(pure.scan_moves, payload, args.repeat)
-            b = _time(_speed.scan_moves, payload, args.repeat)
-            check = pure.scan_moves(*payload) == _speed.scan_moves(*payload)
+        a = _time(kernels[kind], payload, args.repeat)
+        b = _time(compiled[kind], payload, args.repeat)
+        check = kernels[kind](*payload) == compiled[kind](*payload)
         flag = "" if check else "  MISMATCH"
         print("%-34s %9.3f ms %9.3f ms %7.1fx%s" % (label, a * 1e3, b * 1e3, a / b, flag))
     return 0

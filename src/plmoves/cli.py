@@ -14,6 +14,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -300,7 +301,11 @@ def _cmd_extend(args) -> int:
 # ------------------------------------------------------------- the parser
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later ``main`` in the process; parsing keeps no state between calls,
+    since each returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="plmoves",
         description="bistellar moves, filtered and stark variants, search",

@@ -2,15 +2,25 @@
 
 Homology is unreduced and computed over Z from Smith normal form summaries
 of the boundary matrices, so torsion comes out exactly (the Z/2 of the
-projective plane in particular).  Two internal cross-checks run on every
+projective plane in particular).  Internal cross-checks run on every
 complex processed: the composite of consecutive boundary maps must vanish,
-and the alternating sum of Betti numbers must equal the Euler
-characteristic.
+the alternating sum of Betti numbers must equal the Euler characteristic,
+and the rank of H_0 must equal the number of connected components.  Given
+the face counts, the Euler relation holds whatever ranks the Smith normal
+form reports, so it cannot see a wrong rank; the component count sees one
+in the first boundary map.
+
+Every face is enumerated once per call: the star index is bucketed by
+dimension and sorted, and one face-index table per dimension holds the row
+numbers of each simplex's faces.  The boundary-of-boundary check, the
+sparse matrices handed to the Smith normal form, the Euler characteristic
+and the component count all read that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from . import _kernel
@@ -27,7 +37,7 @@ def f_vector(k: Complex) -> tuple[int, ...]:
     if not k:
         return ()
     counts = [0] * (k.dim + 1)
-    for s in k.simplices:
+    for s in k._star_index:
         counts[len(s) - 1] += 1
     return tuple(counts)
 
@@ -76,38 +86,72 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _boundary_entries(k: Complex, d: int, lower_index: dict, upper: list):
-    """Sparse entries of the d-th boundary matrix: rows are (d-1)-simplices,
-    columns are d-simplices, signs alternate along sorted vertex order."""
-    entries = []
-    for col, s in enumerate(upper):
-        sign = 1
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            entries.append((lower_index[face], col, sign))
-            sign = -sign
-    return entries
+def _face_index(k: Complex):
+    """(bases, faces) for a nonempty complex, read from its star index once.
+
+    ``bases[d]`` lists the d-simplices in sorted order, so row and column
+    numbers follow it.  For d >= 1, ``faces[d][col]`` holds the rows in
+    ``bases[d - 1]`` of the faces of ``bases[d][col]``, the i-th entry being
+    the face without the i-th vertex, whose boundary sign is (-1)^i.
+    """
+    bases = [[] for _ in range(k.dim + 1)]
+    for s in k._star_index:
+        bases[len(s) - 1].append(s)
+    for basis in bases:
+        basis.sort()
+    faces = [()]
+    for d in range(1, len(bases)):
+        row = {s: i for i, s in enumerate(bases[d - 1])}.__getitem__
+        # combinations omit the last vertex first, hence the reversal
+        faces.append([tuple(map(row, combinations(s, d)))[::-1] for s in bases[d]])
+    return bases, faces
 
 
-def _check_chain_complex(k: Complex, bases):
-    """Assert boundary-of-boundary vanishes, composing consecutive matrices
+def _boundary_entries(faces_d):
+    """Sparse (row, column, sign) entries of one boundary matrix, from its
+    face-index table ``faces[d]``."""
+    signs = (1, -1) * len(faces_d[0])
+    return [
+        (r, col, sign)
+        for col, rows in enumerate(faces_d)
+        for r, sign in zip(rows, signs)
+    ]
+
+
+def _check_chain_complex(bases, faces):
+    """Assert boundary-of-boundary vanishes, composing consecutive tables
     column by column over the sparse sign structure."""
-    for d in range(2, len(bases)):
-        lower_index = {s: i for i, s in enumerate(bases[d - 2])}
-        for s in bases[d]:
+    for d in range(2, len(faces)):
+        lower = faces[d - 1]
+        for col, rows in enumerate(faces[d]):
             acc = {}
             outer_sign = 1
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                inner_sign = 1
-                for j in range(len(face)):
-                    sub = face[:j] + face[j + 1 :]
-                    key = lower_index[sub]
-                    acc[key] = acc.get(key, 0) + outer_sign * inner_sign
+            for r in rows:
+                inner_sign = outer_sign
+                for q in lower[r]:
+                    acc[q] = acc.get(q, 0) + inner_sign
                     inner_sign = -inner_sign
                 outer_sign = -outer_sign
             if any(acc.values()):
-                raise AssertionError("boundary of boundary nonzero at %s" % (s,))
+                raise AssertionError("boundary of boundary nonzero at %s" % (bases[d][col],))
+
+
+def _component_count(bases, faces) -> int:
+    """Connected components, by union-find over the edge rows."""
+    parent = list(range(len(bases[0])))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    count = len(parent)
+    for a, b in (faces[1] if len(faces) > 1 else ()):
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[ra] = rb
+            count -= 1
+    return count
 
 
 def homology(k: Complex, check: bool = True) -> list[HomologyGroup]:
@@ -123,16 +167,14 @@ def homology(k: Complex, check: bool = True) -> list[HomologyGroup]:
     if not k:
         return []
     n = k.dim
-    bases = [tuple(tuple(s) for s in k.simplices_of_dim(d)) for d in range(n + 1)]
+    bases, faces = _face_index(k)
     if check:
-        _check_chain_complex(k, bases)
+        _check_chain_complex(bases, faces)
     ranks = [0] * (n + 2)  # rank of boundary_d, d = 0..n+1
     torsions = [()] * (n + 2)
     for d in range(1, n + 1):
-        lower_index = {s: i for i, s in enumerate(bases[d - 1])}
-        entries = _boundary_entries(k, d, lower_index, list(bases[d]))
         ranks[d], torsions[d] = _kernel.snf_summary(
-            entries, len(bases[d - 1]), len(bases[d])
+            _boundary_entries(faces[d]), len(bases[d - 1]), len(bases[d])
         )
     out = []
     for d in range(n + 1):
@@ -142,8 +184,11 @@ def homology(k: Complex, check: bool = True) -> list[HomologyGroup]:
         alternating = sum(
             (h.betti if d % 2 == 0 else -h.betti) for d, h in enumerate(out)
         )
-        if alternating != euler_characteristic(k):
+        chi = sum((len(b) if d % 2 == 0 else -len(b)) for d, b in enumerate(bases))
+        if alternating != chi:
             raise AssertionError("Betti numbers disagree with Euler characteristic")
+        if out[0].betti != _component_count(bases, faces):
+            raise AssertionError("H_0 disagrees with the number of connected components")
     return out
 
 

@@ -15,6 +15,13 @@ Schoenflies question is open.
 A complex is reported as a combinatorial manifold when every vertex link
 passes its sphere-or-ball check; links of higher-dimensional simplices are
 links of vertices inside those links, so nothing further needs checking.
+
+Each link gets one verdict per check.  The recursion reaches lk(vw, K) once
+from v and once from w, so every top-level call (a manifold check, or one
+public ``sphere_or_ball_verdict``) keeps a table from (facet set, expected
+dimension) to verdict, and the table dies with the call.  Ridge
+multiplicities, for the pseudomanifold test and the ridge conditions inside
+the verdict, are read from the star index by one helper.
 """
 
 from __future__ import annotations
@@ -102,18 +109,25 @@ def _circle_or_arc(k: Complex):
     return None
 
 
-def _surface_kind(k: Complex):
+def _crowded_ridges(k: Complex):
+    """Sorted (ridge, count) for each ridge of ``k`` that lies in more than
+    two top-dimensional facets, read from the star index.  A face with dim(k)
+    vertices lies only in top-dimensional facets, unless it is a facet and
+    lies in nothing else."""
+    n = k.dim
+    return sorted(
+        (r, len(fs)) for r, fs in k._star_index.items() if len(r) == n and len(fs) > 2
+    )
+
+
+def _surface_kind(k: Complex, verdicts: dict):
     """Classify a 2-complex as 'sphere', 'disk', or None, exactly."""
     if k.dim != 2 or not k.is_pure or not _is_connected(k):
         return None
-    edge_count = {}
-    for f in k.facets:
-        for e in f.boundary_faces():
-            edge_count[e] = edge_count.get(e, 0) + 1
-    if any(c > 2 for c in edge_count.values()):
+    if _crowded_ridges(k):
         return None
     for v in k.vertices:
-        if _circle_or_arc(link(tuple.__new__(Simplex, (v,)), k)) is None:
+        if _verdict(link(tuple.__new__(Simplex, (v,)), k), 1, verdicts)[0] is Verdict.NO:
             return None
     boundary = k.boundary_complex
     if not boundary:
@@ -169,6 +183,25 @@ def sphere_or_ball_verdict(k: Complex, expect_dim: int):
     ``expect_dim`` of -1 accepts exactly the empty complex (the link of a
     facet vertex in a 0-manifold).
     """
+    return _verdict(k, expect_dim, {})
+
+
+def _verdict(k: Complex, expect_dim: int, verdicts: dict):
+    """``sphere_or_ball_verdict``, looked up in ``verdicts`` first.
+
+    The table belongs to one top-level check.  A verdict depends only on
+    the facet set (the reducer's moves come sorted and its seed is fixed),
+    and lk(w, lk(v, K)) = lk(vw, K), so the links of links reached from
+    different vertices are each decided once.
+    """
+    key = (k.facets, expect_dim)
+    found = verdicts.get(key)
+    if found is None:
+        found = verdicts[key] = _decide(k, expect_dim, verdicts)
+    return found
+
+
+def _decide(k: Complex, expect_dim: int, verdicts: dict):
     if expect_dim <= -1:
         return (Verdict.YES, "sphere") if not k else (Verdict.NO, None)
     if not k or k.dim != expect_dim:
@@ -189,7 +222,7 @@ def sphere_or_ball_verdict(k: Complex, expect_dim: int):
             return Verdict.YES, "ball"
         return Verdict.NO, None
     if d == 2:
-        kind = _surface_kind(k)
+        kind = _surface_kind(k, verdicts)
         if kind == "sphere":
             return Verdict.YES, "sphere"
         if kind == "disk":
@@ -198,11 +231,7 @@ def sphere_or_ball_verdict(k: Complex, expect_dim: int):
     # dimension three and up: exact necessary conditions, then reduction
     if not k.is_pure or not _is_connected(k):
         return Verdict.NO, None
-    ridge_count = {}
-    for f in k.facets:
-        for r in f.boundary_faces():
-            ridge_count[r] = ridge_count.get(r, 0) + 1
-    if any(c > 2 for c in ridge_count.values()):
+    if _crowded_ridges(k):
         return Verdict.NO, None
     boundary = k.boundary_complex
     if not boundary:
@@ -210,7 +239,7 @@ def sphere_or_ball_verdict(k: Complex, expect_dim: int):
             return Verdict.NO, None
         for v in sorted(k.vertices):
             lk = link(tuple.__new__(Simplex, (v,)), k)
-            sub, _ = sphere_or_ball_verdict(lk, d - 1)
+            sub, _ = _verdict(lk, d - 1, verdicts)
             if sub is Verdict.NO:
                 return Verdict.NO, None
         if _reduces_to_minimal_sphere(k):
@@ -219,13 +248,13 @@ def sphere_or_ball_verdict(k: Complex, expect_dim: int):
     hs = homology(k)
     if any(h.betti != (1 if i == 0 else 0) or h.torsion for i, h in enumerate(hs)):
         return Verdict.NO, None
-    bverdict, bkind = sphere_or_ball_verdict(boundary, d - 1)
+    bverdict, bkind = _verdict(boundary, d - 1, verdicts)
     if bverdict is Verdict.NO or (bverdict is Verdict.YES and bkind != "sphere"):
         return Verdict.NO, None
     if d == 3 and bverdict is Verdict.YES:
         capped = cone(boundary, fresh_vertex(k))
         merged = Complex(list(k.facets) + list(capped.facets), _trusted=True)
-        sv, skind = sphere_or_ball_verdict(merged, d)
+        sv, skind = _verdict(merged, d, verdicts)
         if sv is Verdict.YES and skind == "sphere":
             return Verdict.YES, "ball"
     return Verdict.UNKNOWN, None
@@ -251,26 +280,19 @@ def check_combinatorial_manifold(k: Complex) -> ManifoldReport:
         )
     n = k.dim
     pseudo = pure
-    if n >= 1:
-        ridge_count = {}
-        for f in k.facets:
-            if len(f) != n + 1:
-                continue
-            for r in f.boundary_faces():
-                ridge_count[r] = ridge_count.get(r, 0) + 1
-        for r, c in sorted(ridge_count.items()):
-            if c > 2:
-                pseudo = False
-                offenders.append((r, "ridge lies in %d facets" % c))
+    for r, c in _crowded_ridges(k):
+        pseudo = False
+        offenders.append((r, "ridge lies in %d facets" % c))
     boundary = k.boundary_complex
     if not pseudo:
         return ManifoldReport(pure, False, Verdict.NO, boundary, tuple(offenders))
     if n == 0:
         return ManifoldReport(pure, True, Verdict.YES, boundary)
+    verdicts = {}
     link_verdicts = []
     for v in sorted(k.vertices):
         vertex = tuple.__new__(Simplex, (v,))
-        verdict, _ = sphere_or_ball_verdict(link(vertex, k), n - 1)
+        verdict, _ = _verdict(link(vertex, k), n - 1, verdicts)
         link_verdicts.append(verdict)
         if verdict is Verdict.NO:
             offenders.append((vertex, "vertex link is not a sphere or ball"))

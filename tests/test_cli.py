@@ -336,3 +336,33 @@ def test_unreadable_sequence_file_exits_1(tmp_path):
         ["moves", "apply", "--input", start, "--sequence", str(tmp_path / "no.json")]
     )
     assert code == 1
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path):
+    from plmoves import boundary_of_simplex, cli, document_for_complex, random_walk
+
+    walked, _ = random_walk(boundary_of_simplex(4), 20, seed=4)
+    sphere = write(tmp_path, "s3.json", emit_document(document_for_complex(walked)))
+    filtered = write(tmp_path, "f.json", demo_text("filtered-s2-equator"))
+    sequence = [
+        ["validate", "--input", sphere],
+        ["moves", "list", "--extended", "--input", filtered],
+        ["moves", "list", "--input", filtered],
+        ["reduce", "--moves", "5", "--input", sphere],
+        ["reduce", "--input", sphere],
+        ["reduce", "--moves", "many", "--input", sphere],
+        ["validate", "--input", sphere],
+    ]
+    alone = []
+    for argv in sequence:
+        cli._parser.cache_clear()  # a fresh parser, as in a new process
+        alone.append(run_cli(argv))
+    parser = cli._parser()
+    together = [run_cli(argv) for argv in sequence]
+    assert cli._parser() is parser
+    assert together == alone
+    codes = [code for code, _, _ in together]
+    assert codes == [0, 0, 0, 0, 0, 2, 0]
+    assert together[1][1] != together[2][1]  # --extended did not stick
+    assert together[3][1] != together[4][1]  # nor did --moves 5
+    assert "in 5 moves" in together[3][1]

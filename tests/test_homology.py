@@ -10,14 +10,17 @@ import pytest
 from plmoves import (
     Complex,
     HomologyGroup,
+    _kernel,
     boundary_of_simplex,
     euler_characteristic,
     f_vector,
     homology,
     homology_summary,
     join,
+    random_walk,
 )
 from plmoves.demos import bipyramid, rp2_6, torus7
+from plmoves.homology import _check_chain_complex, _face_index
 
 
 def groups(k):
@@ -86,3 +89,109 @@ def test_homology_group_rendering():
 def test_internal_chain_complex_check_can_be_disabled():
     t = torus7()
     assert homology(t, check=False) == homology(t)
+
+
+def test_boundary_of_boundary_check_fires_on_a_corrupted_table():
+    k, _ = random_walk(boundary_of_simplex(4), 10, seed=3)
+    bases, faces = _face_index(k)
+    _check_chain_complex(bases, faces)  # the real table passes
+    # a wrong face: the first triangle's first face points at another edge
+    wrong_face = [list(table) for table in faces]
+    rows = list(wrong_face[2][0])
+    rows[0] = next(r for r in range(len(bases[1])) if r not in rows)
+    wrong_face[2][0] = tuple(rows)
+    # a wrong sign: two faces of the first tetrahedron trade places
+    wrong_sign = [list(table) for table in faces]
+    rows = list(wrong_sign[3][0])
+    rows[0], rows[1] = rows[1], rows[0]
+    wrong_sign[3][0] = tuple(rows)
+    for table in (wrong_face, wrong_sign):
+        with pytest.raises(AssertionError, match="boundary of boundary"):
+            _check_chain_complex(bases, table)
+
+
+def test_betti_cross_check_fires_on_an_over_reported_rank(monkeypatch):
+    # The Euler relation holds whatever the ranks, so the cross-check that
+    # sees an over-reported rank of the first boundary map is the component
+    # count of H_0.
+    real = _kernel.snf_summary
+
+    def over_reporting(entries, nrows, ncols):
+        rank, torsion = real(entries, nrows, ncols)
+        # the torus's first boundary map is the one with its 7 vertices as rows
+        return rank + (nrows == 7), torsion
+
+    monkeypatch.setattr(_kernel, "snf_summary", over_reporting)
+    with pytest.raises(AssertionError, match="connected components"):
+        homology(torus7())
+    assert homology(torus7(), check=False)[0].betti == 0  # what it would report
+
+
+# The implementation before the face-index table, kept as the reference: it
+# slices every face (and every face of a face) from sorted bases, and counts
+# the Euler characteristic in a second walk.
+def _reference_homology(k):
+    n = k.dim
+    bases = [tuple(tuple(s) for s in k.simplices_of_dim(d)) for d in range(n + 1)]
+    for d in range(2, len(bases)):
+        lower_index = {s: i for i, s in enumerate(bases[d - 2])}
+        for s in bases[d]:
+            acc = {}
+            outer_sign = 1
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1 :]
+                inner_sign = 1
+                for j in range(len(face)):
+                    key = lower_index[face[:j] + face[j + 1 :]]
+                    acc[key] = acc.get(key, 0) + outer_sign * inner_sign
+                    inner_sign = -inner_sign
+                outer_sign = -outer_sign
+            assert not any(acc.values())
+    ranks = [0] * (n + 2)
+    torsions = [()] * (n + 2)
+    for d in range(1, n + 1):
+        lower_index = {s: i for i, s in enumerate(bases[d - 1])}
+        entries = []
+        for col, s in enumerate(bases[d]):
+            sign = 1
+            for i in range(len(s)):
+                entries.append((lower_index[s[:i] + s[i + 1 :]], col, sign))
+                sign = -sign
+        ranks[d], torsions[d] = _kernel.snf_summary(
+            entries, len(bases[d - 1]), len(bases[d])
+        )
+    out = [
+        HomologyGroup(len(bases[d]) - ranks[d] - ranks[d + 1], tuple(torsions[d + 1]))
+        for d in range(n + 1)
+    ]
+    alternating = sum((h.betti if d % 2 == 0 else -h.betti) for d, h in enumerate(out))
+    assert alternating == euler_characteristic(k)
+    return out
+
+
+def test_homology_matches_the_reference_and_feeds_the_same_matrices(monkeypatch):
+    cases = [
+        random_walk(boundary_of_simplex(3), 12, seed=1)[0],
+        random_walk(boundary_of_simplex(4), 12, seed=2)[0],
+        random_walk(boundary_of_simplex(5), 10, seed=3)[0],
+        torus7(),
+        rp2_6(),
+        Complex([(1, 2, 3), (3, 4), (4, 5, 6, 7)]),  # not pure
+        Complex([(1, 2, 3), (2, 3, 4), (5, 6), (6, 7), (5, 7), (8,)]),  # 3 parts
+        join(rp2_6(), Complex([(30,), (31,)])),
+    ]
+    real = _kernel.snf_summary
+    calls = []
+
+    def recording(entries, nrows, ncols):
+        calls.append((list(entries), nrows, ncols))
+        return real(entries, nrows, ncols)
+
+    monkeypatch.setattr(_kernel, "snf_summary", recording)
+    for k in cases:
+        got = homology(k)
+        new_calls, calls[:] = calls[:], []
+        want = _reference_homology(k)
+        assert got == want, sorted(k.facets)
+        assert new_calls == calls, sorted(k.facets)
+        calls.clear()

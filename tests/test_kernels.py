@@ -1,53 +1,24 @@
 """Backend parity: the compiled kernel must be indistinguishable from pure.
 
-The pure backend is the reference; an independent Fraction-based rank check
-keeps the reference itself honest on random input.
+The pure backend is the reference; its own reference checks (a
+Fraction-based rank, determinantal divisors, known values) live in
+test_snf_reference.py, which runs without the compiled kernel.
 """
 
 import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 from plmoves import _kernel
 from plmoves._kernel import pure
+from test_snf_reference import KNOWN_VALUES, random_entries
 
 speed = pytest.importorskip(
     "plmoves._kernel._speed", reason="compiled kernel not built"
 )
-
-
-def random_entries(rng, nrows, ncols, density=0.3, magnitude=4):
-    out = []
-    for i in range(nrows):
-        for j in range(ncols):
-            if rng.random() < density:
-                v = rng.randint(-magnitude, magnitude)
-                if v:
-                    out.append((i, j, v))
-    return out
-
-
-def rank_over_q(entries, nrows, ncols):
-    mat = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for i, j, v in entries:
-        mat[i][j] = Fraction(v)
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col]
-        for r in range(nrows):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col] / inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 def test_backend_names():
@@ -74,7 +45,6 @@ def test_snf_parity_on_random_matrices():
         a = pure.snf_summary(entries, nrows, ncols)
         b = speed.snf_summary(entries, nrows, ncols)
         assert a == b, (trial, entries, nrows, ncols)
-        assert a[0] == rank_over_q(entries, nrows, ncols)
 
 
 def test_snf_parity_with_large_values():
@@ -85,17 +55,11 @@ def test_snf_parity_with_large_values():
         a = pure.snf_summary(entries, 8, 8)
         b = speed.snf_summary(entries, 8, 8)
         assert a == b, trial
-        assert a[0] == rank_over_q(entries, 8, 8)
 
 
 def test_snf_known_values():
-    # diag(2, 6) has invariant factors 2 and 6
-    for impl in (pure, speed):
-        assert impl.snf_summary([(0, 0, 2), (1, 1, 6)], 2, 2) == (2, (2, 6))
-        assert impl.snf_summary([], 3, 4) == (0, ())
-        assert impl.snf_summary([(0, 0, 1)], 1, 1) == (1, ())
-        # the RP^2 relation matrix shape: torsion without unit-free residue
-        assert impl.snf_summary([(0, 0, 2)], 1, 1) == (1, (2,))
+    for args, want in KNOWN_VALUES:
+        assert speed.snf_summary(*args) == want, args
 
 
 def test_snf_error_parity():
@@ -115,13 +79,12 @@ def test_snf_error_parity():
 
 def test_snf_parity_on_boundary_matrices():
     from plmoves import boundary_of_simplex, random_walk
-    from plmoves.homology import _boundary_entries
+    from plmoves.homology import _boundary_entries, _face_index
 
     state, _ = random_walk(boundary_of_simplex(4), 30, seed=8)
-    bases = [state.simplices_of_dim(d) for d in range(state.dim + 1)]
+    bases, faces = _face_index(state)
     for d in range(1, state.dim + 1):
-        lower_index = {s: i for i, s in enumerate(bases[d - 1])}
-        entries = list(_boundary_entries(state, d, lower_index, bases[d]))
+        entries = _boundary_entries(faces[d])
         nrows, ncols = len(bases[d - 1]), len(bases[d])
         assert pure.snf_summary(entries, nrows, ncols) == speed.snf_summary(
             entries, nrows, ncols

@@ -5,11 +5,19 @@ from plmoves import (
     Verdict,
     boundary_of_simplex,
     check_combinatorial_manifold,
+    cone,
     random_walk,
     sphere_or_ball_verdict,
     star,
+    suspension,
 )
-from plmoves.demos import bipyramid, rp2_6, torus7
+from plmoves.demos import (
+    bipyramid,
+    filtered_s2_equator,
+    filtered_s3_equatorial_s2,
+    rp2_6,
+    torus7,
+)
 from support import hexagon_disk
 
 
@@ -97,6 +105,54 @@ WALKED_REPORTS = {
 }
 
 
+# Reports recorded before each link got one verdict per check and the ridge
+# counts moved to one helper: walks of the shape the verifier sees, the
+# filtered demos' strata, and complexes that fail, with every offender.
+YES = "combinatorial manifold: yes"
+LINK_NO = "vertex link is not a sphere or ball"
+LINK_UNKNOWN = "vertex link verdict unknown"
+WALKED_SURFACES = {("torus7", 12, s): YES for s in range(4)}
+WALKED_SURFACES.update({("rp2_6", 12, s): YES for s in range(4)})
+FAILING = {
+    "triple ridge": (
+        Complex([(1, 2, 3), (1, 2, 4), (1, 2, 5)]),
+        (((1, 2), "ridge lies in 3 facets"),),
+    ),
+    "pinched vertex": (Complex([(1, 2, 3), (1, 4, 5)]), (((1,), LINK_NO),)),
+    "triple ridge, dimension 3": (
+        Complex([(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (2, 3, 4, 7)]),
+        (((1, 2, 3), "ridge lies in 3 facets"),),
+    ),
+    "pinched vertex, dimension 3": (
+        Complex([(1, 2, 3, 4), (1, 5, 6, 7)]),
+        (((1,), LINK_NO),),
+    ),
+    "cone over the torus": (cone(torus7(), 20), (((20,), LINK_NO),)),
+    "suspended projective plane": (
+        suspension(rp2_6(), 20, 21),
+        (((20,), LINK_NO), ((21,), LINK_NO)),
+    ),
+    # the links of 1..7 are 3-spheres whose greedy reduction stalls
+    "twice suspended torus": (
+        suspension(suspension(torus7(), 20, 21), 22, 23),
+        tuple(((v,), LINK_UNKNOWN) for v in range(1, 8))
+        + tuple(((v,), LINK_NO) for v in range(20, 24)),
+    ),
+    "cone over the suspended torus": (
+        cone(suspension(torus7(), 20, 21), 22),
+        tuple(((v,), LINK_UNKNOWN) for v in range(1, 8))
+        + tuple(((v,), LINK_NO) for v in range(20, 23)),
+    ),
+}
+STAR_VERDICTS = {
+    # (n, steps, seed, vertex) -> verdict of the closed star as an n-ball
+    (4, 10, 3, 1): (Verdict.UNKNOWN, None),
+    (3, 12, 2, 1): (Verdict.UNKNOWN, None),
+    (3, 12, 2, 2): (Verdict.YES, "ball"),
+    (3, 12, 2, 3): (Verdict.YES, "ball"),
+}
+
+
 def test_walked_sphere_reports_are_unchanged():
     for (n, steps, seed), want in WALKED_REPORTS.items():
         walked, _ = random_walk(boundary_of_simplex(n + 1), steps, seed=seed)
@@ -106,3 +162,22 @@ def test_walked_sphere_reports_are_unchanged():
             # its boundary and reducing the resulting sphere
             ball = star((max(walked.vertices),), walked)
             assert sphere_or_ball_verdict(ball, 3) == (Verdict.YES, "ball")
+    for seed in range(8):  # the verifier's shape: 10-step walks of S4
+        walked, _ = random_walk(boundary_of_simplex(5), 10, seed=seed)
+        assert str(check_combinatorial_manifold(walked)) == YES, seed
+    starts = {"torus7": torus7, "rp2_6": rp2_6}
+    for (name, steps, seed), want in WALKED_SURFACES.items():
+        walked, _ = random_walk(starts[name](), steps, seed=seed)
+        assert str(check_combinatorial_manifold(walked)) == want, (name, seed)
+    for fc in (filtered_s2_equator(), filtered_s3_equatorial_s2()):
+        for stratum in list(fc.strata[: fc.n]) + [fc.complex]:
+            assert str(check_combinatorial_manifold(stratum)) == YES
+    for name, (k, offenders) in FAILING.items():
+        r = check_combinatorial_manifold(k)
+        assert r.verdict is Verdict.NO, name
+        assert r.offenders == offenders, name
+    for (n, steps, seed, v), want in STAR_VERDICTS.items():
+        walked, _ = random_walk(boundary_of_simplex(n + 1), steps, seed=seed)
+        assert sphere_or_ball_verdict(star((v,), walked), n) == want, (n, seed, v)
+    assert sphere_or_ball_verdict(suspension(torus7(), 20, 21), 3)[0] is Verdict.NO
+    assert sphere_or_ball_verdict(cone(suspension(torus7(), 20, 21), 22), 4)[0] is Verdict.NO
