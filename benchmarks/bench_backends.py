@@ -1,10 +1,11 @@
 """Compare the pure-Python and compiled kernels on representative work.
 
 Runs both backends in-process on the same inputs and reports per-call wall
-time.  Inputs are boundary matrices (for snf_summary), read from the same
-face-index table ``homology`` builds, and facet lists of random-walk states
-(for scan_moves) across the demo complexes.  Without a compiled kernel it
-times the pure backend alone.
+time.  Inputs are full boundary matrices (for snf_summary), built from the
+face-index table of ``homology``, which itself hands the SNF only the small
+matrices of its Morse complex; and facet lists of random-walk states (for
+scan_moves) across the demo complexes.  Without a compiled kernel it times
+the pure backend alone.
 
     PYTHONPATH=src python3 benchmarks/bench_backends.py [--repeat N] [--walk STEPS]
 """
@@ -17,7 +18,7 @@ import time
 from plmoves import boundary_of_simplex, random_walk
 from plmoves._kernel import pure
 from plmoves.demos import rp2_6, torus7
-from plmoves.homology import _boundary_entries, _face_index
+from plmoves.homology import _face_index
 
 try:
     from plmoves._kernel import _speed
@@ -51,7 +52,13 @@ def main() -> int:
         bases, faces = _face_index(k)
         for d in range(1, k.dim + 1):
             nr, nc = len(bases[d - 1]), len(bases[d])
-            payload = (_boundary_entries(faces[d]), nr, nc)
+            # the i-th face, the one without vertex i, has sign (-1)^i
+            entries = [
+                (r, col, (-1) ** i)
+                for col, rows in enumerate(faces[d])
+                for i, r in enumerate(rows)
+            ]
+            payload = (entries, nr, nc)
             cases.append(("snf %s d=%d (%dx%d)" % (name, d, nr, nc), "snf", payload))
         facets = sorted(tuple(f) for f in k.facets)
         cases.append(("scan %s (%d facets)" % (name, len(facets)), "scan", (facets,)))

@@ -256,7 +256,8 @@ def link(a, k: Complex) -> Complex:
         rest = [v for v in f if v not in aset]
         if rest:
             out.append(tuple.__new__(Simplex, rest))
-    return closure(out)
+    # f - a within g - a puts f within g, so these are facets already
+    return Complex(out, _trusted=True)
 
 
 def join(k1: Complex, k2: Complex) -> Complex:

@@ -1,25 +1,62 @@
 """f-vectors, Euler characteristics, and exact integral simplicial homology.
 
-Homology is unreduced and computed over Z from Smith normal form summaries
-of the boundary matrices, so torsion comes out exactly (the Z/2 of the
-projective plane in particular).  Internal cross-checks run on every
-complex processed: the composite of consecutive boundary maps must vanish,
-the alternating sum of Betti numbers must equal the Euler characteristic,
-and the rank of H_0 must equal the number of connected components.  Given
-the face counts, the Euler relation holds whatever ranks the Smith normal
-form reports, so it cannot see a wrong rank; the component count sees one
-in the first boundary map.
+Homology is unreduced and computed over Z, so torsion comes out exactly
+(the Z/2 of the projective plane in particular).  One call runs four steps.
 
-Every face is enumerated once per call: the star index is bucketed by
-dimension and sorted, and one face-index table per dimension holds the row
-numbers of each simplex's faces.  The boundary-of-boundary check, the
-sparse matrices handed to the Smith normal form, the Euler characteristic
-and the component count all read that table.
+1. Face-index table.  The star index is bucketed by dimension and
+   sorted, and one table per dimension holds the row numbers of each
+   simplex's faces.  Every later step reads it; no face is enumerated twice.
+2. Collapses.  A greedy acyclic matching (Forman's discrete Morse
+   theory, built greedily as in Benedetti and Lutz's random discrete Morse
+   theory) keeps, for each cell, the count of its live cofaces.  A free
+   face, a live cell with exactly one live coface, is paired with that
+   coface and both are removed.  When no face is free, the lowest-index
+   live cell of the highest live dimension becomes critical and is removed
+   alone.  A cell is removed only once no coface of it is live (a free
+   face's one coface has none: a live coface of it would give the free
+   face a second one), so the live cells always form a subcomplex, and a
+   gradient path runs from earlier removals to later ones: the matching is
+   acyclic.
+3. Morse complex.  Its cells are the critical cells.  The boundary of a
+   critical cell follows gradient paths: start from its simplicial
+   boundary; in the order the pairs were removed, replace each face matched
+   upward, of coefficient c and of sign e in its partner's boundary, by
+   -c * e times the rest of that boundary.  Every matched incidence is
+   +-1, so the coefficients stay integers; faces matched downward drop
+   out.  The Morse complex has the integral homology of the simplicial
+   one.
+4. Smith normal form.  ``_kernel.snf_summary`` runs on the Morse
+   matrices only, a few rows and columns where the boundary matrices have
+   thousands.  The Betti numbers come from the critical-cell counts.
+
+With ``check=True`` (the default) these cross-checks run, each named with
+the failure it sees:
+
+- boundary of boundary vanishes on the face-index table: a wrong face row
+  or sign in the table;
+- boundary of boundary vanishes on the Morse complex: a wrong gradient
+  path, coefficient or sign;
+- every rank the Smith normal form reports equals the rank over Q, found
+  here by fraction-free elimination: an over- or under-reported rank of
+  any boundary map;
+- for p = 2 and every prime p dividing a reported invariant factor, the
+  rank over F_p equals the reported rank less the count of factors that p
+  divides: a dropped or spurious factor divisible by p, such as a lost Z/2
+  of the projective plane;
+- b_d <= c_d, the weak Morse inequality, c_d being the number of critical
+  d-cells: a Betti number above what the Morse complex can carry;
+- the alternating sum of the Betti numbers equals the Euler characteristic
+  of the face counts: cells lost or miscounted between the table and the
+  Morse complex (for any ranks the relation is an identity, so it cannot
+  see a wrong rank);
+- the rank of H_0 equals the number of connected components, found by
+  union-find over the edge rows of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
 
@@ -107,17 +144,6 @@ def _face_index(k: Complex):
     return bases, faces
 
 
-def _boundary_entries(faces_d):
-    """Sparse (row, column, sign) entries of one boundary matrix, from its
-    face-index table ``faces[d]``."""
-    signs = (1, -1) * len(faces_d[0])
-    return [
-        (r, col, sign)
-        for col, rows in enumerate(faces_d)
-        for r, sign in zip(rows, signs)
-    ]
-
-
 def _check_chain_complex(bases, faces):
     """Assert boundary-of-boundary vanishes, composing consecutive tables
     column by column over the sparse sign structure."""
@@ -154,15 +180,206 @@ def _component_count(bases, faces) -> int:
     return count
 
 
+_ALIVE = -3  # the mark of a cell not yet removed by ``_collapse``
+
+
+def _collapse(bases, faces):
+    """A greedy acyclic matching on the complex of a face-index table.
+
+    Returns (critical, up, when).  ``critical[d]`` lists the critical
+    d-cells in the order they were taken.  ``up[d][i]`` is the column in
+    dimension d + 1 that d-cell i is paired with, -1 for a critical cell
+    and -2 for a cell paired with a face; ``when[d][i]`` numbers the pairs
+    of cells paired upward in the order they were removed.
+    """
+    n = len(bases) - 1
+    # per cell, the count of its live cofaces and the sum of their columns:
+    # for a free face that sum is the column of its one live coface
+    live = [[0] * len(basis) for basis in bases]
+    column_sum = [[0] * len(basis) for basis in bases]
+    for d in range(1, n + 1):
+        counts, sums = live[d - 1], column_sum[d - 1]
+        for col, rows in enumerate(faces[d]):
+            for r in rows:
+                counts[r] += 1
+                sums[r] += col
+    up = [[_ALIVE] * len(basis) for basis in bases]
+    when = [[0] * len(basis) for basis in bases]
+    left = [len(basis) for basis in bases]
+    critical = [[] for _ in bases]
+    free = [(d, i) for d in range(n) for i, c in enumerate(live[d]) if c == 1]
+
+    def remove(d, i, mate):
+        up[d][i] = mate
+        left[d] -= 1
+        if d:
+            counts, sums = live[d - 1], column_sum[d - 1]
+            for r in faces[d][i]:
+                counts[r] -= 1
+                sums[r] -= i
+                if counts[r] == 1:
+                    free.append((d - 1, r))
+
+    top, lowest, pairs = n, 0, 0
+    while True:
+        while free:
+            d, i = free.pop()
+            if up[d][i] == _ALIVE and live[d][i] == 1:
+                col = column_sum[d][i]
+                when[d][i] = pairs
+                pairs += 1
+                remove(d + 1, col, -2)
+                remove(d, i, col)
+        while top >= 0 and not left[top]:
+            top -= 1
+            lowest = 0
+        if top < 0:
+            return critical, up, when
+        cells = up[top]
+        while cells[lowest] != _ALIVE:
+            lowest += 1
+        critical[top].append(lowest)
+        remove(top, lowest, -1)
+
+
+def _morse_boundaries(faces, critical, up, when):
+    """Boundary maps of the Morse complex over Z.
+
+    ``morse[d][j]`` (d >= 1) is the boundary of the j-th critical d-cell,
+    as a {row: coefficient} dict over the positions in ``critical[d - 1]``.
+    """
+    morse = [[]]
+    for d in range(1, len(faces)):
+        if not critical[d - 1]:
+            morse.append([{} for _ in critical[d]])
+            continue
+        table, mate, order = faces[d], up[d - 1], when[d - 1]
+        position = {r: j for j, r in enumerate(critical[d - 1])}
+        columns = []
+        for cell in critical[d]:
+            chain, heap = {}, []
+            rows, coeff, done = table[cell], 1, -1
+            while True:
+                # add coeff * (the boundary of the cell with these rows),
+                # leaving out the face ``done`` that it replaces
+                for r in rows:
+                    if r != done and mate[r] != -2:
+                        if r in chain:
+                            chain[r] += coeff
+                        else:
+                            chain[r] = coeff
+                            if mate[r] >= 0:
+                                heappush(heap, (order[r], r))
+                    coeff = -coeff
+                a = 0
+                while heap and not a:
+                    done = heappop(heap)[1]
+                    a = chain.pop(done)
+                if not a:
+                    break
+                # done has sign (-1)^j in its partner's boundary; subtracting
+                # a * (-1)^j times that boundary cancels it
+                rows = table[mate[done]]
+                coeff = a if rows.index(done) % 2 else -a
+            columns.append({position[r]: v for r, v in chain.items() if v})
+        morse.append(columns)
+    return morse
+
+
+def _check_morse_complex(morse):
+    """Assert boundary-of-boundary vanishes on the Morse complex."""
+    for d in range(2, len(morse)):
+        lower = morse[d - 1]
+        for col, column in enumerate(morse[d]):
+            acc = {}
+            for r, v in column.items():
+                for q, w in lower[r].items():
+                    acc[q] = acc.get(q, 0) + v * w
+            if any(acc.values()):
+                raise AssertionError(
+                    "boundary of boundary nonzero on critical %d-cell %d of the Morse "
+                    "complex" % (d, col)
+                )
+
+
+def _rank(matrix, p=0):
+    """Rank of a dense integer matrix over Q (p = 0) or over F_p (p prime).
+
+    Fraction-free elimination: each row below the pivot becomes
+    pivot * row - entry * pivot_row.  Over Q that is Bareiss's algorithm,
+    whose division by the previous pivot is exact; over F_p it is reduced
+    mod p.
+    """
+    rows = [[v % p for v in row] if p else list(row) for row in matrix]
+    rank, previous = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        lead = top[col]
+        for i in range(rank + 1, len(rows)):
+            a = rows[i][col]
+            row = [lead * x - a * y for x, y in zip(rows[i], top)]
+            rows[i] = [v % p for v in row] if p else [v // previous for v in row]
+        previous = lead
+        rank += 1
+    return rank
+
+
+def _primes_dividing(n):
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _check_snf(entries, nrows, ncols, rank, torsion):
+    """Assert a Smith normal form summary against ranks computed here: the
+    rank over Q, and the rank over F_p, which is the number of invariant
+    factors p does not divide, for p = 2 and every prime of a factor."""
+    matrix = [[0] * ncols for _ in range(nrows)]
+    for i, j, v in entries:
+        matrix[i][j] = v
+    exact = _rank(matrix)
+    if rank != exact:
+        raise AssertionError(
+            "Smith normal form rank %d of a %dx%d Morse matrix, rank over Q %d"
+            % (rank, nrows, ncols, exact)
+        )
+    primes = {2}
+    for t in torsion:
+        primes.update(_primes_dividing(t))
+    for p in sorted(primes):
+        want = rank - sum(1 for t in torsion if t % p == 0)
+        got = _rank(matrix, p)
+        if got != want:
+            raise AssertionError(
+                "invariant factors %s of a %dx%d Morse matrix imply rank %d over F_%d, "
+                "found %d" % (list(torsion), nrows, ncols, want, p, got)
+            )
+
+
 def homology(k: Complex, check: bool = True) -> list[HomologyGroup]:
     """Unreduced integral homology in dimensions 0..dim(k).
 
     H_0 has rank the number of connected components; torsion of H_d comes
-    from the (d+1)-st boundary matrix.  Returns [] for the empty complex.
+    from the (d+1)-st boundary map.  Returns [] for the empty complex.
 
     >>> from .complexes import boundary_of_simplex
     >>> [str(h) for h in homology(boundary_of_simplex(3))]
     ['Z', '0', 'Z']
+    >>> from .demos import rp2_6
+    >>> [str(h) for h in homology(rp2_6())]
+    ['Z', 'Z/2', '0']
     """
     if not k:
         return []
@@ -170,17 +387,31 @@ def homology(k: Complex, check: bool = True) -> list[HomologyGroup]:
     bases, faces = _face_index(k)
     if check:
         _check_chain_complex(bases, faces)
-    ranks = [0] * (n + 2)  # rank of boundary_d, d = 0..n+1
+    critical, up, when = _collapse(bases, faces)
+    morse = _morse_boundaries(faces, critical, up, when)
+    if check:
+        _check_morse_complex(morse)
+    ranks = [0] * (n + 2)  # rank of the Morse boundary_d, d = 0..n+1
     torsions = [()] * (n + 2)
     for d in range(1, n + 1):
-        ranks[d], torsions[d] = _kernel.snf_summary(
-            _boundary_entries(faces[d]), len(bases[d - 1]), len(bases[d])
-        )
+        entries = [
+            (r, col, v) for col, column in enumerate(morse[d]) for r, v in column.items()
+        ]
+        nrows, ncols = len(critical[d - 1]), len(critical[d])
+        ranks[d], torsions[d] = _kernel.snf_summary(entries, nrows, ncols)
+        if check:
+            _check_snf(entries, nrows, ncols, ranks[d], torsions[d])
     out = []
     for d in range(n + 1):
-        betti = len(bases[d]) - ranks[d] - ranks[d + 1]
+        betti = len(critical[d]) - ranks[d] - ranks[d + 1]
         out.append(HomologyGroup(betti, tuple(torsions[d + 1])))
     if check:
+        for d, h in enumerate(out):
+            if h.betti > len(critical[d]):
+                raise AssertionError(
+                    "b_%d = %d exceeds the %d critical %d-cells"
+                    % (d, h.betti, len(critical[d]), d)
+                )
         alternating = sum(
             (h.betti if d % 2 == 0 else -h.betti) for d, h in enumerate(out)
         )

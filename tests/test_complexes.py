@@ -15,13 +15,15 @@ from plmoves import (
     join,
     link,
     product_with_interval,
+    random_walk,
     simplex_boundary,
     simplex_complex,
     star,
     stellar_subdivide,
     suspension,
 )
-from support import hexagon_disk
+from plmoves.demos import torus7
+from support import disk_with_interior_triangle, hexagon_disk
 
 
 def test_simplex_sorts_and_validates():
@@ -132,6 +134,18 @@ def test_star_and_link():
     assert link((1, 2), s2) == Complex([(3,), (4,)])
     assert star((9,), s2) == EMPTY
     assert link((1, 2, 3), s2) == EMPTY
+
+
+def test_link_equals_the_closure_of_its_facets():
+    disk = disk_with_interior_triangle()
+    for k in (
+        random_walk(boundary_of_simplex(4), 20, seed=5)[0],
+        torus7(),
+        random_walk(disk, 8, seed=2, avoid=disk.boundary_complex)[0],
+    ):
+        for a in k.simplices:
+            facets = [set(f) - set(a) for f in k.facets_containing(a)]
+            assert link(a, k) == closure(f for f in facets if f), a
 
 
 def test_join_cone_suspension():

@@ -6,12 +6,16 @@ keeps the checker honest without a second matrix algorithm in the loop.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plmoves import (
+    EMPTY,
     Complex,
     HomologyGroup,
     _kernel,
     boundary_of_simplex,
+    closure,
     euler_characteristic,
     f_vector,
     homology,
@@ -20,7 +24,14 @@ from plmoves import (
     random_walk,
 )
 from plmoves.demos import bipyramid, rp2_6, torus7
-from plmoves.homology import _check_chain_complex, _face_index
+from plmoves.homology import (
+    _check_chain_complex,
+    _check_morse_complex,
+    _collapse,
+    _face_index,
+    _morse_boundaries,
+)
+from support import disk_with_interior_triangle
 
 
 def groups(k):
@@ -108,28 +119,75 @@ def test_boundary_of_boundary_check_fires_on_a_corrupted_table():
     for table in (wrong_face, wrong_sign):
         with pytest.raises(AssertionError, match="boundary of boundary"):
             _check_chain_complex(bases, table)
+    # the Morse complex of RP^2 is Z --2--> Z --0--> Z; a first map of 1
+    # makes the composite 2
+    bases, faces = _face_index(rp2_6())
+    morse = _morse_boundaries(faces, *_collapse(bases, faces))
+    assert morse[1:] == [[{}], [{0: 2}]]
+    _check_morse_complex(morse)
+    morse[1][0] = {0: 1}
+    with pytest.raises(AssertionError, match="boundary of boundary"):
+        _check_morse_complex(morse)
 
 
-def test_betti_cross_check_fires_on_an_over_reported_rank(monkeypatch):
-    # The Euler relation holds whatever the ranks, so the cross-check that
-    # sees an over-reported rank of the first boundary map is the component
-    # count of H_0.
-    real = _kernel.snf_summary
+_SNF = _kernel.snf_summary
 
-    def over_reporting(entries, nrows, ncols):
-        rank, torsion = real(entries, nrows, ncols)
-        # the torus's first boundary map is the one with its 7 vertices as rows
-        return rank + (nrows == 7), torsion
 
+def _patched_snf(change):
+    """A Smith normal form whose i-th call (from 0) returns
+    ``change(i, rank, torsion)`` in place of its true (rank, torsion)."""
+    calls = []
+
+    def patched(entries, nrows, ncols):
+        calls.append(None)
+        return change(len(calls) - 1, *_SNF(entries, nrows, ncols))
+
+    return patched
+
+
+def test_rank_checks_fire_on_a_wrong_rank_or_lost_torsion(monkeypatch):
+    # The Euler relation holds whatever the ranks, and the component count
+    # sees only the first boundary map; the rank checks see every map.
+    cases = [torus7(), rp2_6(), random_walk(boundary_of_simplex(4), 12, seed=1)[0]]
+    for k in cases:
+        summaries = []
+
+        def recording(i, rank, torsion):
+            summaries.append((rank, torsion))
+            return rank, torsion
+
+        monkeypatch.setattr(_kernel, "snf_summary", _patched_snf(recording))
+        homology(k)
+        assert len(summaries) == k.dim  # one call per boundary map
+        for target, (rank, torsion) in enumerate(summaries):
+            # a map of rank 0 cannot be under-reported
+            for wrong in [rank + 1] + ([rank - 1] if rank else []):
+                monkeypatch.setattr(
+                    _kernel,
+                    "snf_summary",
+                    _patched_snf(lambda i, r, t: (wrong if i == target else r, t)),
+                )
+                with pytest.raises(AssertionError, match="rank over Q"):
+                    homology(k)
+    # unchecked, the torus with the rank of its second map over-reported
+    # would lose a class in H_1 and H_2 both
+    over_reporting = _patched_snf(lambda i, r, t: (r + (i == 1), t))
     monkeypatch.setattr(_kernel, "snf_summary", over_reporting)
-    with pytest.raises(AssertionError, match="connected components"):
-        homology(torus7())
-    assert homology(torus7(), check=False)[0].betti == 0  # what it would report
+    assert [(h.betti, h.torsion) for h in homology(torus7(), check=False)] == [
+        (1, ()), (1, ()), (0, ())
+    ]
+    monkeypatch.setattr(_kernel, "snf_summary", _patched_snf(lambda i, r, t: (r, ())))
+    with pytest.raises(AssertionError, match="over F_2"):
+        homology(rp2_6())
+    assert [(h.betti, h.torsion) for h in homology(rp2_6(), check=False)] == [
+        (1, ()), (0, ()), (0, ())
+    ]
 
 
-# The implementation before the face-index table, kept as the reference: it
-# slices every face (and every face of a face) from sorted bases, and counts
-# the Euler characteristic in a second walk.
+# The full-matrix implementation, kept as the reference: it slices every
+# face (and every face of a face) from sorted bases, runs the Smith normal
+# form on every boundary matrix, and counts the Euler characteristic in a
+# second walk.
 def _reference_homology(k):
     n = k.dim
     bases = [tuple(tuple(s) for s in k.simplices_of_dim(d)) for d in range(n + 1)]
@@ -169,7 +227,7 @@ def _reference_homology(k):
     return out
 
 
-def test_homology_matches_the_reference_and_feeds_the_same_matrices(monkeypatch):
+def test_homology_matches_the_reference_and_feeds_the_snf_only_morse_matrices(monkeypatch):
     cases = [
         random_walk(boundary_of_simplex(3), 12, seed=1)[0],
         random_walk(boundary_of_simplex(4), 12, seed=2)[0],
@@ -193,5 +251,55 @@ def test_homology_matches_the_reference_and_feeds_the_same_matrices(monkeypatch)
         new_calls, calls[:] = calls[:], []
         want = _reference_homology(k)
         assert got == want, sorted(k.facets)
-        assert new_calls == calls, sorted(k.facets)
+        # the reference hands the SNF every boundary matrix, homology one
+        # Morse matrix per map, over the critical cells of the collapse
+        f = f_vector(k)
+        maps = range(1, k.dim + 1)
+        assert [(nr, nc) for _, nr, nc in calls] == [(f[d - 1], f[d]) for d in maps]
+        critical, _, _ = _collapse(*_face_index(k))
+        assert [(nr, nc) for _, nr, nc in new_calls] == [
+            (len(critical[d - 1]), len(critical[d])) for d in maps
+        ]
+        for d, (entries, nr, nc) in zip(maps, new_calls):
+            assert nr <= f[d - 1] and nc <= f[d] and len(entries) <= nr * nc
         calls.clear()
+
+
+_DISK = disk_with_interior_triangle()
+WALK_STARTS = {  # start and avoided subcomplex
+    "S2": (boundary_of_simplex(3), EMPTY),
+    "S3": (boundary_of_simplex(4), EMPTY),
+    "S4": (boundary_of_simplex(5), EMPTY),
+    "torus7": (torus7(), EMPTY),
+    "rp2_6": (rp2_6(), EMPTY),
+    "disk": (_DISK, _DISK.boundary_complex),
+}
+
+
+@st.composite
+def walked_complexes(draw):
+    start, avoid = WALK_STARTS[draw(st.sampled_from(sorted(WALK_STARTS)))]
+    steps = draw(st.integers(0, 30))
+    return random_walk(start, steps, seed=draw(st.integers(0, 10**6)), avoid=avoid)[0]
+
+
+def _families(max_vertices, max_size):
+    # closures of these cover 0- and 1-dimensional, non-pure and
+    # disconnected complexes
+    simplices = st.sets(st.integers(0, 7), min_size=1, max_size=max_vertices)
+    return st.lists(simplices, min_size=1, max_size=max_size).map(closure)
+
+
+def _shifted(k, by):
+    return Complex([tuple(v + by for v in f) for f in k.facets])
+
+
+joined_complexes = st.tuples(_families(3, 3), _families(3, 3)).map(
+    lambda pair: join(pair[0], _shifted(pair[1], 10))
+)
+
+
+@settings(max_examples=200)
+@given(st.one_of(walked_complexes(), _families(4, 8), joined_complexes))
+def test_homology_equals_the_reference_on_random_complexes(k):
+    assert homology(k) == _reference_homology(k), sorted(k.facets)

@@ -79,12 +79,17 @@ def test_snf_error_parity():
 
 def test_snf_parity_on_boundary_matrices():
     from plmoves import boundary_of_simplex, random_walk
-    from plmoves.homology import _boundary_entries, _face_index
+    from plmoves.homology import _face_index
 
     state, _ = random_walk(boundary_of_simplex(4), 30, seed=8)
     bases, faces = _face_index(state)
     for d in range(1, state.dim + 1):
-        entries = _boundary_entries(faces[d])
+        # the i-th face of a simplex, the one without vertex i, has sign (-1)^i
+        entries = [
+            (r, col, (-1) ** i)
+            for col, rows in enumerate(faces[d])
+            for i, r in enumerate(rows)
+        ]
         nrows, ncols = len(bases[d - 1]), len(bases[d])
         assert pure.snf_summary(entries, nrows, ncols) == speed.snf_summary(
             entries, nrows, ncols

@@ -124,3 +124,22 @@ def test_snf_torsion_matches_determinantal_divisors():
         assert pure.snf_summary(entries, nrows, ncols) == want, (trial, entries, nrows, ncols)
         with_torsion += bool(want[1])
     assert with_torsion >= 20  # the draw exercises the residue path
+
+
+def test_homology_rank_helper_matches_rational_and_modular_ranks():
+    # homology checks every Smith normal form result against _rank: over Q
+    # it must equal the rank by elimination over fractions, and over F_p
+    # the count of invariant factors (units included) that p does not divide
+    from plmoves.homology import _rank
+
+    rng = random.Random(2718)
+    for trial in range(150):
+        nrows = rng.randint(0, 6)
+        ncols = rng.randint(0, 6)
+        entries = random_entries(rng, nrows, ncols, density=0.5, magnitude=6)
+        matrix = dense(entries, nrows, ncols)
+        rank, torsion = invariant_factors(entries, nrows, ncols) if entries else (0, ())
+        assert _rank(matrix) == rank == rank_over_q(entries, nrows, ncols), trial
+        for p in (2, 3, 5):
+            want = rank - sum(1 for t in torsion if t % p == 0)
+            assert _rank(matrix, p) == want, (trial, p, entries)
