@@ -35,7 +35,7 @@ from .complexes import (
     simplex_complex,
 )
 from .manifold import Verdict, check_combinatorial_manifold
-from .moves import BistellarMove, MoveError, enumerate_moves
+from .moves import BistellarMove, MoveError, _derived, enumerate_moves
 
 
 class FiltrationError(ValueError):
@@ -272,14 +272,17 @@ def apply_extended_bistellar(fc: FilteredComplex, move: ExtendedMove) -> Filtere
     k = move.stratum
     inner = move.inner
     a = inner.a
-    fresh = _is_fresh_inner(fc, move)
     after_core = join(simplex_boundary(a), simplex_complex(inner.b))
     aset = set(a)
     new_strata = list(fc.strata[:k])
     for level in range(k, fc.n + 1):
         body = join(after_core, move.suspension.pair_complex_through(level))
-        kept = [f for f in fc.strata[level].facets if not aset <= set(f)]
-        new_strata.append(closure(list(kept) + list(body.facets)))
+        stratum = fc.strata[level]
+        if stratum.is_pure:
+            new_strata.append(_derived(stratum, a, body.facets))
+        else:
+            kept = [f for f in stratum.facets if not aset <= set(f)]
+            new_strata.append(closure(list(kept) + list(body.facets)))
     return FilteredComplex(tuple(new_strata))
 
 

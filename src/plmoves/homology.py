@@ -39,10 +39,12 @@ the failure it sees:
 - every rank the Smith normal form reports equals the rank over Q, found
   here by fraction-free elimination: an over- or under-reported rank of
   any boundary map;
-- for p = 2 and every prime p dividing a reported invariant factor, the
-  rank over F_p equals the reported rank less the count of factors that p
-  divides: a dropped or spurious factor divisible by p, such as a lost Z/2
-  of the projective plane;
+- every invariant factor it reports is found again over Z/m, for m twice
+  the nonzero rank x rank minor that the elimination ends on.  Each factor
+  divides that minor, so over Z/m it keeps its value, and elimination mod
+  m by extended-gcd steps needs no factoring and keeps the numbers small:
+  a dropped, spurious or misreported factor, such as a lost Z/2 of the
+  projective plane, a lost Z/3, or Z/4 reported for Z/2;
 - b_d <= c_d, the weak Morse inequality, c_d being the number of critical
   d-cells: a Betti number above what the Morse complex can carry;
 - the alternating sum of the Betti numbers equals the Euler characteristic
@@ -58,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from . import _kernel
 from .complexes import Complex
@@ -302,15 +304,16 @@ def _check_morse_complex(morse):
                 )
 
 
-def _rank(matrix, p=0):
-    """Rank of a dense integer matrix over Q (p = 0) or over F_p (p prime).
+def _bareiss(matrix):
+    """(rank, minor) of a dense integer matrix over Q.
 
-    Fraction-free elimination: each row below the pivot becomes
-    pivot * row - entry * pivot_row.  Over Q that is Bareiss's algorithm,
-    whose division by the previous pivot is exact; over F_p it is reduced
-    mod p.
+    Fraction-free (Bareiss) elimination: each row below the pivot becomes
+    (pivot * row - entry * pivot_row) / previous pivot, and the division is
+    exact.  Every pivot is a minor of the matrix, so the last one is a
+    nonzero rank x rank minor (1 for rank 0), which the product of the
+    invariant factors divides.
     """
-    rows = [[v % p for v in row] if p else list(row) for row in matrix]
+    rows = [list(row) for row in matrix]
     rank, previous = 0, 1
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
@@ -321,51 +324,101 @@ def _rank(matrix, p=0):
         lead = top[col]
         for i in range(rank + 1, len(rows)):
             a = rows[i][col]
-            row = [lead * x - a * y for x, y in zip(rows[i], top)]
-            rows[i] = [v % p for v in row] if p else [v // previous for v in row]
+            rows[i] = [(lead * x - a * y) // previous for x, y in zip(rows[i], top)]
         previous = lead
         rank += 1
-    return rank
+    return rank, previous
 
 
-def _primes_dividing(n):
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _smith_mod(matrix, m):
+    """The nonzero invariant factors of an integer matrix over Z/m, each as
+    its gcd with m, in divisibility order.
+
+    Elimination by unimodular steps: a row (or column) is combined with the
+    pivot row (or column) through the extended gcd of their leading entries,
+    so entries stay below m and the pivot shrinks to a gcd.  Once its row
+    and column are clear, an entry outside the ideal of the pivot is added
+    to the pivot row and clearing starts again, so each pivot divides all
+    that is left.  When an invariant factor over Z divides m and is below
+    it, its gcd with m is the factor itself.
+    """
+    rows = [[v % m for v in row] for row in matrix]
+    factors = []
+    while True:
+        pivot = next(((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v), None)
+        if pivot is None:
+            return factors
+        i, j = pivot
+        rows[0], rows[i] = rows[i], rows[0]
+        for row in rows:
+            row[0], row[j] = row[j], row[0]
+        while True:
+            for i in range(1, len(rows)):
+                _combine(rows, i, m)
+            columns = [list(c) for c in zip(*rows)]
+            for j in range(1, len(columns)):
+                _combine(columns, j, m)
+            rows = [list(r) for r in zip(*columns)]
+            if any(row[0] for row in rows[1:]):
+                continue  # a column step shrank the pivot and refilled its column
+            unit = gcd(rows[0][0], m)
+            stray = next((row for row in rows[1:] if any(v % unit for v in row)), None)
+            if stray is None:
+                break
+            rows[0] = [(x + y) % m for x, y in zip(rows[0], stray)]
+        factors.append(gcd(rows[0][0], m))
+        rows = [row[1:] for row in rows[1:]]
+
+
+def _combine(lines, i, m):
+    """Clear lines[i][0] against lines[0][0] by a unimodular step mod m;
+    lines[0][0] becomes the gcd of the two, or stays when it divides."""
+    a, b = lines[0][0], lines[i][0]
+    if not b:
+        return
+    x, y = lines[0], lines[i]
+    if b % a == 0:
+        q = b // a
+        lines[i] = [(w - q * v) % m for v, w in zip(x, y)]
+        return
+    g, s, t = _xgcd(a, b)
+    u, w = b // g, a // g  # [[s, t], [u, -w]] has determinant -1
+    lines[0] = [(s * v + t * z) % m for v, z in zip(x, y)]
+    lines[i] = [(u * v - w * z) % m for v, z in zip(x, y)]
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s * a + t * b = g = gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
 def _check_snf(entries, nrows, ncols, rank, torsion):
-    """Assert a Smith normal form summary against ranks computed here: the
-    rank over Q, and the rank over F_p, which is the number of invariant
-    factors p does not divide, for p = 2 and every prime of a factor."""
+    """Assert a Smith normal form summary against what is computed here: the
+    rank over Q, and every invariant factor, found over Z/m for m twice the
+    nonzero rank x rank minor of the elimination.  Each factor divides that
+    minor and is below m, so over Z/m it keeps its value."""
     matrix = [[0] * ncols for _ in range(nrows)]
     for i, j, v in entries:
         matrix[i][j] = v
-    exact = _rank(matrix)
+    exact, minor = _bareiss(matrix)
     if rank != exact:
         raise AssertionError(
             "Smith normal form rank %d of a %dx%d Morse matrix, rank over Q %d"
             % (rank, nrows, ncols, exact)
         )
-    primes = {2}
-    for t in torsion:
-        primes.update(_primes_dividing(t))
-    for p in sorted(primes):
-        want = rank - sum(1 for t in torsion if t % p == 0)
-        got = _rank(matrix, p)
-        if got != want:
-            raise AssertionError(
-                "invariant factors %s of a %dx%d Morse matrix imply rank %d over F_%d, "
-                "found %d" % (list(torsion), nrows, ncols, want, p, got)
-            )
+    m = 2 * abs(minor)
+    found = _smith_mod(matrix, m)
+    if found != [1] * (rank - len(torsion)) + list(torsion):
+        raise AssertionError(
+            "invariant factors %s of a %dx%d Morse matrix of rank %d, over Z/%d the "
+            "factors are %s" % (list(torsion), nrows, ncols, rank, m, found)
+        )
 
 
 def homology(k: Complex, check: bool = True) -> list[HomologyGroup]:

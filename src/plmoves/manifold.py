@@ -12,6 +12,13 @@ in dimension three cones off the boundary and sphere-checks the result
 answer is withheld and "unknown" returned, since the corresponding
 Schoenflies question is open.
 
+In the closed case of dimension three and up, the reduction runs first,
+after the cheap tests of purity, connectedness and ridges.  Reaching the
+boundary of a simplex by bistellar moves proves a PL sphere, and on a PL
+sphere no exact necessary condition can fail, so the answer is YES at once.
+Only when the reduction stalls do the homology of a sphere and the vertex
+links run; they turn the stall into NO, or leave it UNKNOWN.
+
 A complex is reported as a combinatorial manifold when every vertex link
 passes its sphere-or-ball check; links of higher-dimensional simplices are
 links of vertices inside those links, so nothing further needs checking.
@@ -235,6 +242,9 @@ def _decide(k: Complex, expect_dim: int, verdicts: dict):
         return Verdict.NO, None
     boundary = k.boundary_complex
     if not boundary:
+        # a reduction proves a PL sphere, on which no check below says no
+        if _reduces_to_minimal_sphere(k):
+            return Verdict.YES, "sphere"
         if not _sphere_homology_ok(k, d):
             return Verdict.NO, None
         for v in sorted(k.vertices):
@@ -242,8 +252,6 @@ def _decide(k: Complex, expect_dim: int, verdicts: dict):
             sub, _ = _verdict(lk, d - 1, verdicts)
             if sub is Verdict.NO:
                 return Verdict.NO, None
-        if _reduces_to_minimal_sphere(k):
-            return Verdict.YES, "sphere"
         return Verdict.UNKNOWN, None
     hs = homology(k)
     if any(h.betti != (1 if i == 0 else 0) or h.torsion for i, h in enumerate(hs)):

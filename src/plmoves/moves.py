@@ -17,9 +17,16 @@ simplex that appeared or vanished.  ``enumerate_moves`` reads a fresh
 MoveSet once.  Random walks, ``reduce`` and the manifold reducer follow one
 MoveSet through all their steps and do not verify each step; ``flip_search``
 reads the MoveSet of each state it expands and builds each successor with
-``_rebuild``, the unverified rebuild that ``apply_bistellar`` also ends in.
-Replaying the certificate they return, which re-checks every precondition,
-is the check.
+``_rebuild``, the unverified rebuild.  Replaying the certificate they
+return, which re-checks every precondition, is the check.
+
+Two rebuilds make the complex after a move.  ``_rebuild`` carries no star
+index: most of ``flip_search``'s successors are never expanded, and one that
+is builds its index when its MoveSet first reads it.  ``_derived``, which
+``apply_bistellar`` ends in after its checks on a pure complex, hands the
+result a star index derived from the parent's, which the checks have built;
+so a replayed certificate builds the index of its first state only.  A
+non-pure complex goes through ``closure``.
 """
 
 from __future__ import annotations
@@ -56,6 +63,36 @@ def _inserted_facets(a: Simplex, b: Simplex) -> list[Simplex]:
         return [b]
     ab = sorted(a + b)
     return [tuple.__new__(Simplex, [v for v in ab if v != x]) for x in a]
+
+
+def _derived(k: Complex, a: Simplex, inserted) -> Complex:
+    """The pure complex k with the facets of the star of a replaced by
+    ``inserted``, its star index derived from k's.
+
+    Only the stars of the faces of the removed and inserted facets change;
+    every other entry is k's own, and each star stays a sorted tuple, as
+    ``Complex._star_index`` builds it.
+    """
+    star = dict(k._star_index)
+    gone = star[a]
+    changed = {}  # face -> its inserted facets
+    for f in inserted:
+        for s in f.subsimplices():
+            changed.setdefault(s, []).append(f)
+    for f in gone:
+        for s in f.subsimplices():
+            changed.setdefault(s, [])
+    gone = set(gone)
+    for s, fs in changed.items():
+        fs.extend(g for g in star.get(s, ()) if g not in gone)
+        if fs:
+            fs.sort()
+            star[s] = tuple(fs)
+        else:
+            del star[s]
+    out = Complex(k.facets.difference(gone).union(inserted), _trusted=True)
+    out.__dict__["_star_index"] = star  # the slot the cached property fills
+    return out
 
 
 def _rebuild(k: Complex, a: Simplex, b: Simplex) -> Complex:
@@ -171,7 +208,7 @@ def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
                 "cannot apply %s: link of %s is the boundary of %s" % (move, a, expected)
             )
     if k.is_pure:
-        return _rebuild(k, a, b)
+        return _derived(k, a, _inserted_facets(a, b))
     return closure(k.facets.difference(k._star_index[a]).union(_inserted_facets(a, b)))
 
 

@@ -6,10 +6,36 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plmoves
-from plmoves import emit_document, parse_document, to_complex
-from plmoves.demos import demo_document
+from plmoves import (
+    BistellarMove,
+    Complex,
+    DocumentError,
+    ExtendedMove,
+    FilteredComplex,
+    SearchError,
+    apply_bistellar,
+    apply_extended_bistellar,
+    boundary_of_simplex,
+    document_for_complex,
+    document_for_filtered,
+    emit_document,
+    emit_sequence,
+    enumerate_extended_moves,
+    enumerate_moves,
+    filtered_s2_equator,
+    fresh_vertex,
+    parse_document,
+    parse_sequence,
+    random_extended_walk,
+    random_walk,
+    replay,
+    to_complex,
+)
+from plmoves.demos import demo_document, torus7
 from support import run_cli
 
 
@@ -366,3 +392,134 @@ def test_one_parser_serves_a_sequence_of_calls(tmp_path):
     assert together[1][1] != together[2][1]  # --extended did not stick
     assert together[3][1] != together[4][1]  # nor did --moves 5
     assert "in 5 moves" in together[3][1]
+
+
+# ----------------------------------------------------- tampered certificates
+
+
+def _certificates():
+    """(start, recorded certificate) pairs: plain walks with subdivisions,
+    flips and removals, and an extended walk."""
+    s3 = boundary_of_simplex(4)
+    torus = torus7()
+    fc = filtered_s2_equator()
+    return [
+        (s3, random_walk(s3, 6, seed=3)[1]),
+        (torus, random_walk(torus, 5, seed=1)[1]),
+        (fc, random_extended_walk(fc, 3, seed=1)[1]),
+    ]
+
+
+CERTIFICATES = _certificates()
+
+
+def _document_text(state):
+    if isinstance(state, FilteredComplex):
+        return emit_document(document_for_filtered(state))
+    return emit_document(document_for_complex(state))
+
+
+@pytest.fixture(scope="module")
+def start_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("tampered")
+    return [
+        write(folder, "start-%d.json" % i, _document_text(start))
+        for i, (start, _) in enumerate(CERTIFICATES)
+    ]
+
+
+def _leaves(value, path=()):
+    """Paths to the integer leaves and the fingerprint of a certificate."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    elif isinstance(value, int) or path == ("start_fingerprint",):
+        yield path
+
+
+def _fresh(state):
+    """The same state with no derived structure: every index is rebuilt."""
+    if isinstance(state, FilteredComplex):
+        return FilteredComplex(tuple(Complex(m.facets, _trusted=True) for m in state.strata))
+    return Complex(state.facets, _trusted=True)
+
+
+def _first_illegal_step(state, seq):
+    """(index of the first move of ``seq`` that is not among the moves
+    enumerated at its state, or None; the end state), with every state built
+    afresh.  A subdivided facet may take any unused label, as in replay."""
+    for i, record in enumerate(seq.moves):
+        state = _fresh(state)
+        move = record.move
+        if isinstance(state, FilteredComplex):
+            inner = move.inner
+            if inner.b.dim == 0 and inner.b[0] not in state.complex.vertices:
+                canonical = BistellarMove(inner.a, (fresh_vertex(state.complex),))
+                move = ExtendedMove(move.stratum, canonical, move.suspension)
+            if move not in enumerate_extended_moves(state):
+                return i, None
+            state = apply_extended_bistellar(state, record.move)
+        else:
+            a, b = move.a, move.b
+            subdivision = a in state.facets and b.dim == 0 and b[0] not in state.vertices
+            if not (subdivision or move in enumerate_moves(state)):
+                return i, None
+            state = apply_bistellar(state, move)
+    return None, state
+
+
+@settings(max_examples=150)
+@given(
+    which=st.integers(min_value=0, max_value=len(CERTIFICATES) - 1),
+    leaf=st.integers(min_value=0, max_value=10**6),
+    value=st.integers(min_value=0, max_value=14),
+)
+def test_a_tampered_certificate_replays_only_legal_moves_or_fails_cleanly(
+    start_files, which, leaf, value
+):
+    # A tampered certificate replays exactly when each of its moves is among
+    # the moves enumerated at a state built afresh, and fails at the first
+    # that is not.  A certificate may name any unused label for a fresh
+    # vertex, so a tampered label can replay to a relabeled end.  The
+    # command line reports every outcome by its exit code, with no traceback.
+    start, seq = CERTIFICATES[which]
+    data = json.loads(emit_sequence(seq))
+    paths = list(_leaves(data))
+    path = paths[leaf % len(paths)]
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    old = holder[path[-1]]
+    if isinstance(old, str):
+        holder[path[-1]] = "%016x" % value
+    else:
+        holder[path[-1]] = value if value != old else old + 1
+    text = json.dumps(data)
+    code, out, err = run_cli(
+        ["moves", "apply", "--input", start_files[which], "--sequence", "-"], stdin=text
+    )
+    assert "Traceback" not in err
+    try:
+        tampered = parse_sequence(text)
+    except DocumentError:
+        assert code == 2 and err.startswith("document error:"), (path, err)
+        return
+    if tampered.start_fingerprint != seq.start_fingerprint:
+        with pytest.raises(SearchError, match="fingerprint mismatch"):
+            replay(start, tampered)
+        assert code == 1 and err.startswith("error: fingerprint mismatch"), (path, err)
+        return
+    step, end = _first_illegal_step(start, tampered)
+    if step is not None:
+        with pytest.raises(SearchError) as raised:
+            replay(start, tampered)
+        message = str(raised.value)
+        assert message.startswith("illegal step %d (" % step), (path, message)
+        assert code == 1 and err == "error: %s\n" % message, (path, err)
+        return
+    got = replay(start, tampered)
+    assert got == end, path
+    assert code == 0 and out == _document_text(got) and not err, path

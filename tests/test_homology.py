@@ -27,6 +27,7 @@ from plmoves.demos import bipyramid, rp2_6, torus7
 from plmoves.homology import (
     _check_chain_complex,
     _check_morse_complex,
+    _check_snf,
     _collapse,
     _face_index,
     _morse_boundaries,
@@ -177,11 +178,28 @@ def test_rank_checks_fire_on_a_wrong_rank_or_lost_torsion(monkeypatch):
         (1, ()), (1, ()), (0, ())
     ]
     monkeypatch.setattr(_kernel, "snf_summary", _patched_snf(lambda i, r, t: (r, ())))
-    with pytest.raises(AssertionError, match="over F_2"):
+    with pytest.raises(AssertionError, match=r"over Z/4 the factors are \[2\]"):
         homology(rp2_6())
     assert [(h.betti, h.torsion) for h in homology(rp2_6(), check=False)] == [
         (1, ()), (0, ()), (0, ())
     ]
+
+
+def test_snf_check_sees_every_invariant_factor():
+    # the rank over F_p for p = 2 and the primes of the reported factors
+    # saw neither of these: a dropped Z/3, and Z/4 reported for Z/2
+    with pytest.raises(AssertionError, match=r"over Z/6 the factors are \[3\]"):
+        _check_snf([(0, 0, 3)], 1, 1, 1, ())
+    with pytest.raises(AssertionError, match=r"over Z/4 the factors are \[2\]"):
+        _check_snf([(0, 0, 2)], 1, 1, 1, (4,))
+    _check_snf([(0, 0, 3)], 1, 1, 1, (3,))
+    _check_snf([(0, 0, 2)], 1, 1, 1, (2,))
+    # diag(4, 6) has invariant factors 2 and 12
+    entries = [(0, 0, 4), (1, 1, 6)]
+    _check_snf(entries, 2, 2, 2, (2, 12))
+    for wrong in [(4, 6), (2, 6), (12,), (2, 24), (2, 4, 12)]:
+        with pytest.raises(AssertionError, match="invariant factors"):
+            _check_snf(entries, 2, 2, 2, wrong)
 
 
 # The full-matrix implementation, kept as the reference: it slices every

@@ -138,6 +138,14 @@ FAILING = {
         tuple(((v,), LINK_UNKNOWN) for v in range(1, 8))
         + tuple(((v,), LINK_NO) for v in range(20, 24)),
     ),
+    # recorded before the closed case tried the reducer first: each link of
+    # 20..23 is a suspended projective plane, which the reducer cannot
+    # reduce and homology then rejects
+    "twice suspended projective plane": (
+        suspension(suspension(rp2_6(), 20, 21), 22, 23),
+        tuple(((v,), LINK_UNKNOWN) for v in range(1, 7))
+        + tuple(((v,), LINK_NO) for v in range(20, 24)),
+    ),
     "cone over the suspended torus": (
         cone(suspension(torus7(), 20, 21), 22),
         tuple(((v,), LINK_UNKNOWN) for v in range(1, 8))
@@ -179,5 +187,6 @@ def test_walked_sphere_reports_are_unchanged():
     for (n, steps, seed, v), want in STAR_VERDICTS.items():
         walked, _ = random_walk(boundary_of_simplex(n + 1), steps, seed=seed)
         assert sphere_or_ball_verdict(star((v,), walked), n) == want, (n, seed, v)
-    assert sphere_or_ball_verdict(suspension(torus7(), 20, 21), 3)[0] is Verdict.NO
+    assert sphere_or_ball_verdict(suspension(torus7(), 20, 21), 3) == (Verdict.NO, None)
+    assert sphere_or_ball_verdict(suspension(rp2_6(), 20, 21), 3) == (Verdict.NO, None)
     assert sphere_or_ball_verdict(cone(suspension(torus7(), 20, 21), 22), 4)[0] is Verdict.NO

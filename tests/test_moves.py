@@ -13,16 +13,22 @@ from plmoves import (
     MoveError,
     Simplex,
     apply_bistellar,
+    apply_extended_bistellar,
     applicability_obstruction,
     bistellar_applicable,
     boundary_of_simplex,
     enumerate_moves,
     f_vector,
+    filtered_s2_equator,
+    filtered_s3_equatorial_s2,
     inserted_ball,
     inverse_move,
+    random_extended_walk,
+    random_walk,
     replaced_ball,
     stellar_subdivide,
 )
+from plmoves import moves as moves_module
 from plmoves.demos import bipyramid, rp2_6, torus7
 from plmoves.moves import MoveSet
 from support import hexagon_disk
@@ -243,3 +249,54 @@ def test_moveset_follows_a_walk_like_a_fresh_scan(name, seed):
     assert [BistellarMove(a, b) for a, b in ms.moves()] == [m for m in expected if m]
     if name in ("s2", "s3", "s3_floor"):
         assert top_removals
+
+
+def _assert_derived_index(k):
+    # the move handed over its star index, and it is the one a fresh build
+    # gives, down to the order of the facets within each star
+    assert "_star_index" in k.__dict__
+    assert k._star_index == Complex(k.facets, _trusted=True)._star_index
+
+
+@pytest.mark.parametrize("name", ["disk", "rp2_6", "s2", "s3", "s4", "torus7"])
+@settings(max_examples=10)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    steps=st.integers(min_value=1, max_value=25),
+)
+def test_checked_moves_derive_the_star_index_of_a_fresh_build(name, seed, steps):
+    k, avoid, _ = _moveset_starts()[name]
+    _, walk = random_walk(k, steps, seed=seed, avoid=avoid)
+    state = Complex(k.facets, _trusted=True)
+    for record in walk:
+        state = apply_bistellar(state, record.move)
+        _assert_derived_index(state)
+
+
+@pytest.mark.parametrize("start", [filtered_s2_equator, filtered_s3_equatorial_s2])
+@settings(max_examples=5)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    steps=st.integers(min_value=1, max_value=6),
+)
+def test_checked_extended_moves_derive_every_stratum_index(start, seed, steps):
+    fc = start()
+    _, walk = random_extended_walk(fc, steps, seed=seed)
+    for record in walk:
+        fc = apply_extended_bistellar(fc, record.move)
+        for stratum in fc.strata[record.move.stratum :]:  # the lower ones are kept
+            _assert_derived_index(stratum)
+
+
+def test_non_pure_complexes_rebuild_through_closure(monkeypatch):
+    # a 2-sphere with a dangling edge: its facets differ in dimension
+    k = Complex(list(boundary_of_simplex(3).facets) + [(4, 5)])
+    closed = []
+    real = moves_module.closure
+    monkeypatch.setattr(moves_module, "closure", lambda ss: closed.append(1) or real(ss))
+    out = apply_bistellar(k, BistellarMove((1, 2, 3), (6,)))
+    assert closed
+    assert sorted(out.facets) == [
+        (1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 6), (2, 3, 4), (2, 3, 6), (4, 5),
+    ]
+    assert out._star_index == Complex(out.facets, _trusted=True)._star_index

@@ -127,10 +127,16 @@ def test_snf_torsion_matches_determinantal_divisors():
 
 
 def test_homology_rank_helper_matches_rational_and_modular_ranks():
-    # homology checks every Smith normal form result against _rank: over Q
-    # it must equal the rank by elimination over fractions, and over F_p
-    # the count of invariant factors (units included) that p does not divide
-    from plmoves.homology import _rank
+    # homology checks every Smith normal form result against _bareiss and
+    # _smith_mod.  Over Q the rank must equal the rank by elimination over
+    # fractions, and the minor the elimination ends on is a nonzero multiple
+    # of the product of the invariant factors.  Over Z/m, for m twice that
+    # minor, the factors are the invariant factors themselves; over F_p their
+    # count is the number of invariant factors (units included) that p does
+    # not divide.
+    from math import prod
+
+    from plmoves.homology import _bareiss, _smith_mod
 
     rng = random.Random(2718)
     for trial in range(150):
@@ -139,7 +145,11 @@ def test_homology_rank_helper_matches_rational_and_modular_ranks():
         entries = random_entries(rng, nrows, ncols, density=0.5, magnitude=6)
         matrix = dense(entries, nrows, ncols)
         rank, torsion = invariant_factors(entries, nrows, ncols) if entries else (0, ())
-        assert _rank(matrix) == rank == rank_over_q(entries, nrows, ncols), trial
+        got, minor = _bareiss(matrix)
+        assert got == rank == rank_over_q(entries, nrows, ncols), trial
+        assert minor and minor % prod(torsion) == 0, (trial, minor, torsion)
+        want = [1] * (rank - len(torsion)) + list(torsion)
+        assert _smith_mod(matrix, 2 * abs(minor)) == want, (trial, entries)
         for p in (2, 3, 5):
             want = rank - sum(1 for t in torsion if t % p == 0)
-            assert _rank(matrix, p) == want, (trial, p, entries)
+            assert len(_smith_mod(matrix, p)) == want, (trial, p, entries)
