@@ -14,10 +14,10 @@ construction, so faces, link facets and joins of existing simplices are
 built with ``tuple.__new__(Simplex, vertices)`` and skip the checks.  The
 faces of a complex are enumerated once, into its star index, from which the
 face set, face membership and the boundary are all read.  A checked move
-does not enumerate them again: ``apply_bistellar`` on a pure complex, and
-``apply_extended_bistellar`` on each pure stratum it rebuilds, hand the
-result a star index derived from the parent's, in which only the stars of
-the faces of the removed and inserted facets differ.  Replaying a
+does not enumerate them again: ``apply_bistellar``, and
+``apply_extended_bistellar`` on each stratum it rebuilds, hand the result a
+star index derived from the parent's, in which only the stars of the faces
+of the removed and inserted facets differ.  Replaying a
 certificate enumerates the faces of its first state only.
 """
 

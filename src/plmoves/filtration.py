@@ -273,16 +273,10 @@ def apply_extended_bistellar(fc: FilteredComplex, move: ExtendedMove) -> Filtere
     inner = move.inner
     a = inner.a
     after_core = join(simplex_boundary(a), simplex_complex(inner.b))
-    aset = set(a)
     new_strata = list(fc.strata[:k])
     for level in range(k, fc.n + 1):
         body = join(after_core, move.suspension.pair_complex_through(level))
-        stratum = fc.strata[level]
-        if stratum.is_pure:
-            new_strata.append(_derived(stratum, a, body.facets))
-        else:
-            kept = [f for f in stratum.facets if not aset <= set(f)]
-            new_strata.append(closure(list(kept) + list(body.facets)))
+        new_strata.append(_derived(fc.strata[level], a, body.facets))
     return FilteredComplex(tuple(new_strata))
 
 

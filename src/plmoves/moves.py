@@ -23,10 +23,11 @@ return, which re-checks every precondition, is the check.
 Two rebuilds make the complex after a move.  ``_rebuild`` carries no star
 index: most of ``flip_search``'s successors are never expanded, and one that
 is builds its index when its MoveSet first reads it.  ``_derived``, which
-``apply_bistellar`` ends in after its checks on a pure complex, hands the
-result a star index derived from the parent's, which the checks have built;
-so a replayed certificate builds the index of its first state only.  A
-non-pure complex goes through ``closure``.
+``apply_bistellar`` ends in after its checks, hands the result a star index
+derived from the parent's, which the checks have built; so a replayed
+certificate builds the index of its first state only.  ``MoveSet.apply``
+and ``_derived`` update a star index through the one helper
+``_replace_in_stars``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .complexes import (
     Complex,
     Simplex,
     _as_simplex,
-    closure,
     fresh_vertex,
     join,
     link,
@@ -65,31 +65,60 @@ def _inserted_facets(a: Simplex, b: Simplex) -> list[Simplex]:
     return [tuple.__new__(Simplex, [v for v in ab if v != x]) for x in a]
 
 
+def _replace_in_stars(star: dict, gone, inserted):
+    """Update the star index ``star`` (face -> tuple of facets) in place for
+    the facets ``gone`` replaced by ``inserted``: drop the gone facets from
+    the stars of their faces, deleting a face whose star empties, and
+    append the inserted facets.
+
+    Returns a dict from each face of a gone or inserted facet to the
+    inserted facets holding it, then the faces that vanished and those that
+    appeared.  A star keeps its order, with the inserted facets after it.
+    """
+    changed = {}
+    for facet in inserted:
+        for s in facet.subsimplices():
+            changed.setdefault(s, []).append(facet)
+    for facet in gone:
+        for s in facet.subsimplices():
+            changed.setdefault(s, [])
+    gone = set(gone)
+    vanished = []
+    appeared = []
+    for s, fs in changed.items():
+        old = star.get(s)
+        if old is None:
+            star[s] = tuple(fs)
+            appeared.append(s)
+            continue
+        kept = [g for g in old if g not in gone]
+        kept.extend(fs)
+        if kept:
+            star[s] = tuple(kept)
+        else:
+            del star[s]
+            vanished.append(s)
+    return changed, vanished, appeared
+
+
 def _derived(k: Complex, a: Simplex, inserted) -> Complex:
-    """The pure complex k with the facets of the star of a replaced by
+    """The complex k with the facets of the star of a replaced by
     ``inserted``, its star index derived from k's.
 
-    Only the stars of the faces of the removed and inserted facets change;
-    every other entry is k's own, and each star stays a sorted tuple, as
-    ``Complex._star_index`` builds it.
+    The facets kept and inserted must be pairwise non-nested, as they are
+    after a checked move: the inserted facets all hold the co-simplex,
+    which k lacks, and a kept facet within an inserted one would be a
+    proper face of a facet of the star of a.  Purity is not needed.  Only
+    the stars of the faces of the removed and inserted facets change; a
+    star that gained a facet is sorted again, so every star is the sorted
+    tuple that ``Complex._star_index`` builds.
     """
     star = dict(k._star_index)
     gone = star[a]
-    changed = {}  # face -> its inserted facets
-    for f in inserted:
-        for s in f.subsimplices():
-            changed.setdefault(s, []).append(f)
-    for f in gone:
-        for s in f.subsimplices():
-            changed.setdefault(s, [])
-    gone = set(gone)
+    changed, _, _ = _replace_in_stars(star, gone, inserted)
     for s, fs in changed.items():
-        fs.extend(g for g in star.get(s, ()) if g not in gone)
-        if fs:
-            fs.sort()
-            star[s] = tuple(fs)
-        else:
-            del star[s]
+        if fs and len(star[s]) > 1:
+            star[s] = tuple(sorted(star[s]))
     out = Complex(k.facets.difference(gone).union(inserted), _trusted=True)
     out.__dict__["_star_index"] = star  # the slot the cached property fills
     return out
@@ -207,9 +236,7 @@ def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
             raise MoveError(
                 "cannot apply %s: link of %s is the boundary of %s" % (move, a, expected)
             )
-    if k.is_pure:
-        return _derived(k, a, _inserted_facets(a, b))
-    return closure(k.facets.difference(k._star_index[a]).union(_inserted_facets(a, b)))
+    return _derived(k, a, _inserted_facets(a, b))
 
 
 def inverse_move(move: BistellarMove) -> BistellarMove:
@@ -300,33 +327,19 @@ class MoveSet:
         """Apply chi_(a, b), a move returned by ``moves()``."""
         star = self._star
         f = self._f
-        touched = set()
-        flipped = []  # faces that vanished or appeared
-        for facet in star[a]:
-            for s in facet.subsimplices():
-                fs = tuple(g for g in star[s] if g != facet)
-                if fs:
-                    star[s] = fs
-                else:
-                    del star[s]
-                    f[len(s) - 1] -= 1
-                    flipped.append(s)
-                touched.add(s)
-        for facet in _inserted_facets(a, b):
-            for s in facet.subsimplices():
-                fs = star.get(s)
-                if fs is None:
-                    star[s] = (facet,)
-                    f[len(s) - 1] += 1
-                    flipped.append(s)
-                    if len(s) == 1 and s[0] > self._top:
-                        self._top = s[0]
-                else:
-                    star[s] = fs + (facet,)
-                touched.add(s)
+        changed, vanished, appeared = _replace_in_stars(
+            star, star[a], _inserted_facets(a, b)
+        )
+        touched = set(changed)
+        for s in vanished:
+            f[len(s) - 1] -= 1
+        for s in appeared:
+            f[len(s) - 1] += 1
+            if len(s) == 1 and s[0] > self._top:
+                self._top = s[0]
         if (self._top,) not in star:
             self._top = max((s[0] for s in star if len(s) == 1), default=-1)
-        for s in flipped:
+        for s in vanished + appeared:
             touched.update(self._waiting.get(s, ()))
         for s in touched:
             self._test(s)

@@ -450,7 +450,12 @@ def _fresh(state):
 def _first_illegal_step(state, seq):
     """(index of the first move of ``seq`` that is not among the moves
     enumerated at its state, or None; the end state), with every state built
-    afresh.  A subdivided facet may take any unused label, as in replay."""
+    afresh.  A subdivided facet may take any unused label, as in replay.
+
+    The two subdivision branches mirror a gap that is still open (ROADMAP,
+    tampered certificates): replay does not require the canonical label
+    max + 1.  Once it does, they should compare the label with
+    ``fresh_vertex`` instead, and a tampered label then fails at its step."""
     for i, record in enumerate(seq.moves):
         state = _fresh(state)
         move = record.move
@@ -483,7 +488,8 @@ def test_a_tampered_certificate_replays_only_legal_moves_or_fails_cleanly(
     # A tampered certificate replays exactly when each of its moves is among
     # the moves enumerated at a state built afresh, and fails at the first
     # that is not.  A certificate may name any unused label for a fresh
-    # vertex, so a tampered label can replay to a relabeled end.  The
+    # vertex, so a tampered label can replay to a relabeled end: this is the
+    # open gap that _first_illegal_step mirrors, not a property to keep.  The
     # command line reports every outcome by its exit code, with no traceback.
     start, seq = CERTIFICATES[which]
     data = json.loads(emit_sequence(seq))

@@ -10,6 +10,7 @@ from plmoves import (
     EMPTY,
     BistellarMove,
     Complex,
+    FilteredComplex,
     MoveError,
     Simplex,
     apply_bistellar,
@@ -28,7 +29,6 @@ from plmoves import (
     replaced_ball,
     stellar_subdivide,
 )
-from plmoves import moves as moves_module
 from plmoves.demos import bipyramid, rp2_6, torus7
 from plmoves.moves import MoveSet
 from support import hexagon_disk
@@ -282,21 +282,37 @@ def test_checked_moves_derive_the_star_index_of_a_fresh_build(name, seed, steps)
 def test_checked_extended_moves_derive_every_stratum_index(start, seed, steps):
     fc = start()
     _, walk = random_extended_walk(fc, steps, seed=seed)
+    # the same walk beside an edge far from it, which makes the top stratum
+    # non-pure
+    top = fc.strata[-1]
+    edge = Simplex([max(top.vertices) + 100, max(top.vertices) + 101])
+    beside = FilteredComplex(fc.strata[:-1] + (Complex(list(top.facets) + [edge]),))
     for record in walk:
         fc = apply_extended_bistellar(fc, record.move)
-        for stratum in fc.strata[record.move.stratum :]:  # the lower ones are kept
+        beside = apply_extended_bistellar(beside, record.move)
+        assert beside.strata[-1].facets == fc.strata[-1].facets | {edge}
+        lowest = record.move.stratum  # the lower strata are kept
+        for stratum in fc.strata[lowest:] + beside.strata[lowest:]:
             _assert_derived_index(stratum)
 
 
-def test_non_pure_complexes_rebuild_through_closure(monkeypatch):
-    # a 2-sphere with a dangling edge: its facets differ in dimension
+def test_non_pure_complexes_derive_their_star_index_too():
+    # a 2-sphere with a dangling edge: its facets differ in dimension, and a
+    # checked move derives its index as on a pure complex
     k = Complex(list(boundary_of_simplex(3).facets) + [(4, 5)])
-    closed = []
-    real = moves_module.closure
-    monkeypatch.setattr(moves_module, "closure", lambda ss: closed.append(1) or real(ss))
     out = apply_bistellar(k, BistellarMove((1, 2, 3), (6,)))
-    assert closed
     assert sorted(out.facets) == [
         (1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 6), (2, 3, 4), (2, 3, 6), (4, 5),
     ]
-    assert out._star_index == Complex(out.facets, _trusted=True)._star_index
+    _assert_derived_index(out)
+    # a flip whose new edge meets the dangling edge at 4, so that the star
+    # of 4 mixes dimensions
+    out = apply_bistellar(out, BistellarMove((1, 2), (4, 6)))
+    assert sorted(out.facets) == [
+        (1, 3, 4), (1, 3, 6), (1, 4, 6), (2, 3, 4), (2, 3, 6), (2, 4, 6), (4, 5),
+    ]
+    _assert_derived_index(out)
+    out = apply_bistellar(out, BistellarMove((4, 6), (1, 2)))
+    out = apply_bistellar(out, BistellarMove((6,), (1, 2, 3)))
+    assert out == k
+    _assert_derived_index(out)
