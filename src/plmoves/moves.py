@@ -15,19 +15,19 @@ move updates only the stars of the faces of the removed and added facets,
 and tests again those faces and the faces whose link is the boundary of a
 simplex that appeared or vanished.  ``enumerate_moves`` reads a fresh
 MoveSet once.  Random walks, ``reduce`` and the manifold reducer follow one
-MoveSet through all their steps and do not verify each step; ``flip_search``
-reads the MoveSet of each state it expands and builds each successor with
-``_rebuild``, the unverified rebuild.  Replaying the certificate they
-return, which re-checks every precondition, is the check.
+MoveSet through all their steps and do not verify each step;
+``flip_search`` gives each state a copy of its parent's MoveSet advanced by
+the one move that made it, and builds each successor from that MoveSet's
+star, unverified.  Replaying the certificate they return, which re-checks
+every precondition, is the check.
 
-Two rebuilds make the complex after a move.  ``_rebuild`` carries no star
-index: most of ``flip_search``'s successors are never expanded, and one that
-is builds its index when its MoveSet first reads it.  ``_derived``, which
-``apply_bistellar`` ends in after its checks, hands the result a star index
-derived from the parent's, which the checks have built; so a replayed
-certificate builds the index of its first state only.  ``MoveSet.apply``
-and ``_derived`` update a star index through the one helper
-``_replace_in_stars``.
+A checked move builds its result once.  After its checks,
+``apply_bistellar`` hands the result two things the checks built on the
+parent: a star index derived from the parent's (``_derived``), and the
+parent's boundary, which a move at an interior face keeps.  So a replayed
+certificate builds the index and the boundary of its first state only.
+``MoveSet.apply`` and ``_derived`` update a star index through the one
+helper ``_replace_in_stars``.
 """
 
 from __future__ import annotations
@@ -122,15 +122,6 @@ def _derived(k: Complex, a: Simplex, inserted) -> Complex:
     out = Complex(k.facets.difference(gone).union(inserted), _trusted=True)
     out.__dict__["_star_index"] = star  # the slot the cached property fills
     return out
-
-
-def _rebuild(k: Complex, a: Simplex, b: Simplex) -> Complex:
-    """chi_(a, b) applied to the pure complex k, unverified: the facets of
-    k outside the star of a, plus those of boundary(a) * b."""
-    return Complex(
-        k.facets.difference(k._star_index[a]).union(_inserted_facets(a, b)),
-        _trusted=True,
-    )
 
 
 @dataclass(frozen=True)
@@ -236,7 +227,12 @@ def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
             raise MoveError(
                 "cannot apply %s: link of %s is the boundary of %s" % (move, a, expected)
             )
-    return _derived(k, a, _inserted_facets(a, b))
+    out = _derived(k, a, _inserted_facets(a, b))
+    # the boundary ridges are those in one top facet; the move keeps each
+    # frontier ridge in one removed and one inserted facet, and puts the
+    # ridges through a or b in two facets or in none, so the boundary stays
+    out.__dict__["boundary_complex"] = k.boundary_complex
+    return out
 
 
 def inverse_move(move: BistellarMove) -> BistellarMove:
@@ -258,9 +254,11 @@ class MoveSet:
 
     ``avoid`` and ``label_floor`` mean what they mean for
     :func:`enumerate_moves`, which validates the same way.  ``apply`` takes
-    a move read from ``moves()`` and trusts it; the f-vector and the
+    a move read from ``moves()``, or the subdivision of a facet outside
+    ``avoid`` by any unused label, and trusts it; the f-vector and the
     largest label follow every step, so facet subdivisions always carry the
-    canonical fresh label of the current complex.
+    canonical fresh label of the current complex.  ``copy`` gives a move
+    set of the same complex that moves on its own.
     """
 
     def __init__(self, k: Complex, avoid: Complex = EMPTY, label_floor: int = -1):
@@ -314,9 +312,24 @@ class MoveSet:
         if b not in self._star:
             self._moves[a] = b
 
+    def copy(self) -> "MoveSet":
+        """A move set of the same complex that moves on its own."""
+        out = object.__new__(MoveSet)
+        out.__dict__.update(self.__dict__)
+        out._star = dict(self._star)
+        out._f = list(self._f)
+        out._moves = dict(self._moves)
+        out._linked = dict(self._linked)
+        out._waiting = {b: set(faces) for b, faces in self._waiting.items()}
+        return out
+
     @property
     def f_vector(self) -> tuple[int, ...]:
         return tuple(self._f)
+
+    def star(self, a: Simplex) -> tuple:
+        """The facets of the current complex that hold the face a."""
+        return self._star[a]
 
     def moves(self) -> list[tuple[Simplex, Simplex]]:
         """The available moves (a, b), in lexicographic order of a."""

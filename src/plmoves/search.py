@@ -5,12 +5,14 @@ labeling: flips and removals are always edges, while an insertion edge must
 use the one canonical fresh label max(labels, floor) + 1.  Recorded walks
 draw from the same move sets as enumerate_moves and live inside this graph,
 so a bidirectional breadth-first search can meet in the middle and return a
-certificate.  The search reads the move set of each state it expands and
-builds every successor from its parent's star index without verifying the
-move; the certificate is verified by replay before anyone sees it.  Search
-is a semi-decision procedure: a None means the budget ran out, except when
-the ends differ in dimension or Euler characteristic, which no sequence of
-moves changes.
+certificate.  A move changes only the closed star of a, so the search
+keeps move sets the same way: the two ends get fresh, validated move sets,
+and every other state it expands copies its parent's and advances the copy
+by the one move that made the state.  Every successor is built from the
+move set's star without verifying the move; the certificate is verified by
+replay before anyone sees it.  Search is a semi-decision procedure: a None
+means the budget ran out, except when the ends differ in dimension or Euler
+characteristic, which no sequence of moves changes.
 
 stratified_align mirrors the stratum-by-stratum induction of the main
 theorem: align the lowest differing stratum with an inner search, realize
@@ -48,7 +50,7 @@ from .moves import (
     BistellarMove,
     MoveError,
     MoveSet,
-    _rebuild,
+    _inserted_facets,
     apply_bistellar,
     fsum_delta,
 )
@@ -157,10 +159,15 @@ def replay(state, seq: MoveSequence):
 def _bidirectional(start, goal, expand_fw, expand_bw, key, budget: SearchBudget):
     """Move path start -> goal in the canonical-label digraph, or None.
 
-    expand_fw(node) yields (move, successor); expand_bw(node) yields
-    (move, predecessor) where the move labels the edge predecessor -> node.
-    Deterministic: frontiers expand in canonical-key order and the smaller
-    frontier goes first.
+    expand_fw(node, made_by) returns (context, successors), where successors
+    yields (move, successor); expand_bw(node, made_by) returns (context,
+    predecessors), where predecessors yields (move, predecessor) and the move
+    labels the edge predecessor -> node.  made_by is None for the two ends,
+    and for any other node (context, move): the context its parent's
+    expansion returned and the move on the edge between them.  Each side
+    keeps the contexts of the layer it is expanding and of the layer before,
+    no more.  Deterministic: frontiers expand in canonical-key order and the
+    smaller frontier goes first.
     """
     if start == goal:
         return []
@@ -168,6 +175,8 @@ def _bidirectional(start, goal, expand_fw, expand_bw, key, budget: SearchBudget)
     backward = {goal: None}
     frontier_f = [start]
     frontier_b = [goal]
+    contexts_f = {}
+    contexts_b = {}
     used = 0
     depth_f = depth_b = 0
 
@@ -190,8 +199,12 @@ def _bidirectional(start, goal, expand_fw, expand_bw, key, budget: SearchBudget)
         if len(frontier_f) <= len(frontier_b):
             depth_f += 1
             grown = []
+            expanded = {}
             for node in sorted(frontier_f, key=key):
-                for move, succ in expand_fw(node):
+                made = forward[node]
+                made_by = None if made is None else (contexts_f[made[0]], made[1])
+                expanded[node], successors = expand_fw(node, made_by)
+                for move, succ in successors:
                     used += 1
                     if used > budget.nodes:
                         return None
@@ -202,11 +215,16 @@ def _bidirectional(start, goal, expand_fw, expand_bw, key, budget: SearchBudget)
                         return stitch(succ)
                     grown.append(succ)
             frontier_f = grown
+            contexts_f = expanded
         else:
             depth_b += 1
             grown = []
+            expanded = {}
             for node in sorted(frontier_b, key=key):
-                for move, pred in expand_bw(node):
+                made = backward[node]
+                made_by = None if made is None else (contexts_b[made[0]], made[1])
+                expanded[node], predecessors = expand_bw(node, made_by)
+                for move, pred in predecessors:
                     used += 1
                     if used > budget.nodes:
                         return None
@@ -217,6 +235,7 @@ def _bidirectional(start, goal, expand_fw, expand_bw, key, budget: SearchBudget)
                         return stitch(pred)
                     grown.append(pred)
             frontier_b = grown
+            contexts_b = expanded
     return None
 
 
@@ -224,6 +243,44 @@ def _fresh_without(k: Complex, v: int, floor: int) -> int:
     """The canonical fresh label of k once its vertex v is removed, read
     from the labels of k: fresh_vertex of the result, without building it."""
     return max(max((u for u in k.vertices if u != v), default=-1), floor) + 1
+
+
+def _successor(k: Complex, ms: MoveSet, a: Simplex, inserted) -> Complex:
+    """chi_(a, .) applied to k, unverified: the facets of k outside the star
+    of a, read from k's move set ``ms``, plus ``inserted``, the facets of
+    boundary(a) * b."""
+    return Complex(k.facets.difference(ms.star(a)).union(inserted), _trusted=True)
+
+
+class _MoveSetOf:
+    """The move set of a state of flip_search, derived from its parent's.
+
+    A state's own expansion derives its move set (``derive``) and drops it
+    once the successors are built.  The first of its successors to be
+    expanded derives it again and keeps it for the rest (``held``), and
+    then lets go of the parent's.  So a search holds the move sets of the
+    states whose successors it is expanding, not of every state it
+    expanded, at the cost of one more move per state with an expanded
+    successor.  The ends hold fresh move sets from the start.
+    """
+
+    __slots__ = ("parent", "move", "_held")
+
+    def __init__(self, parent, move, ms=None):
+        self.parent = parent
+        self.move = move
+        self._held = ms
+
+    def derive(self) -> MoveSet:
+        ms = self.parent.held().copy()
+        ms.apply(*self.move)
+        return ms
+
+    def held(self) -> MoveSet:
+        if self._held is None:
+            self._held = self.derive()
+            self.parent = None
+        return self._held
 
 
 def flip_search(
@@ -240,14 +297,18 @@ def flip_search(
     Euler characteristic, which bistellar moves preserve; only the second
     is a proof that no sequence exists.
 
-    Every state's moves come from its own move set, and each successor is
-    its parent minus the star of a plus boundary(a) * b, built without
-    verifying the move again; replaying the returned certificate, with
-    every precondition checked, is the check.  Backward expansion
-    enumerates insertion predecessors: a removed label must either be
-    canonically fresh for the predecessor or come back from the label set
-    of the two ends; ephemeral helper labels beyond that are out of reach,
-    which only ever costs completeness, never soundness.
+    The ends get fresh move sets, validated as enumerate_moves validates
+    them; every other state's move set is a copy of its parent's advanced
+    by the one move that made the state, which lists exactly the moves a
+    fresh one would, since a move at a face outside ``avoid`` keeps both
+    ``avoid`` and the boundary.  Each successor is its parent minus the
+    star of a plus boundary(a) * b, built without verifying the move again;
+    replaying the returned certificate, with every precondition checked, is
+    the check.  Backward expansion enumerates insertion predecessors: a
+    removed label must either be canonically fresh for the predecessor or
+    come back from the label set of the two ends; ephemeral helper labels
+    beyond that are out of reach, which only ever costs completeness, never
+    soundness.
     """
     budget = budget or SearchBudget()
     if avoid and not (avoid.is_subcomplex_of(k1) and avoid.is_subcomplex_of(k2)):
@@ -257,28 +318,49 @@ def flip_search(
     end_labels = k1.vertices | k2.vertices
 
     # Edges carry moves as (a, b) pairs; only the certificate's become
-    # BistellarMove records.  Each state is expanded through a copy, so the
-    # states the search keeps hold their facets but not the star index and
-    # boundary derived while expanding them.
-    def expand_fw(k):
-        k = Complex(k.facets, _trusted=True)
-        for a, b in MoveSet(k, avoid, label_floor).moves():
-            yield (a, b), _rebuild(k, a, b)
+    # BistellarMove records.  The context of an expanded state is its
+    # _MoveSetOf, so the states the search keeps hold their facets only.
+    # The facets each move inserts are built once and shared by every state
+    # that holds them.
+    inserted = {}
 
-    def expand_bw(k):
-        k = Complex(k.facets, _trusted=True)
-        for a, b in MoveSet(k, avoid, label_floor).moves():
+    def step(k, ms, a, b):
+        facets = inserted.get((a, b))
+        if facets is None:
+            facets = inserted[a, b] = _inserted_facets(a, b)
+        return _successor(k, ms, a, facets)
+
+    def move_set(k, made_by, backward):
+        # k's _MoveSetOf and move set; a backward edge is labelled with the
+        # inverse of the move that made k
+        if made_by is None:
+            of = _MoveSetOf(None, None, MoveSet(k, avoid, label_floor))
+            return of, of.held()
+        parent, (a, b) = made_by
+        of = _MoveSetOf(parent, (b, a) if backward else (a, b))
+        return of, of.derive()
+
+    def expand_fw(k, made_by):
+        of, ms = move_set(k, made_by, False)
+        return of, ((move, step(k, ms, *move)) for move in ms.moves())
+
+    def expand_bw(k, made_by):
+        of, ms = move_set(k, made_by, True)
+        return of, predecessors(k, ms)
+
+    def predecessors(k, ms):
+        for a, b in ms.moves():
             if len(b) == 1:
                 continue  # insertions on k are handled with chosen labels below
             if len(a) == 1 and a[0] != _fresh_without(k, a[0], label_floor):
                 continue  # the reverse insertion would use a non-canonical label
-            yield (b, a), _rebuild(k, a, b)
+            yield (b, a), step(k, ms, a, b)
         # subdividing a facet of avoid would remove it from the predecessor
         facets = [f for f in sorted(k.facets) if f not in avoid]
         for v in sorted((end_labels - k.vertices) | {fresh_vertex(k, label_floor)}):
             vertex = tuple.__new__(Simplex, (v,))
             for facet in facets:
-                yield (vertex, facet), _rebuild(k, facet, vertex)
+                yield (vertex, facet), step(k, ms, facet, vertex)
 
     moves = _bidirectional(k1, k2, expand_fw, expand_bw, canonical_facet_text, budget)
     if moves is None:
@@ -440,12 +522,12 @@ def _align_states(fc1: FilteredComplex, fc2: FilteredComplex, budget: SearchBudg
     recorded with canonical fresh labels whose removals return end labels."""
     end_labels = fc1.complex.vertices | fc2.complex.vertices
 
-    def expand_fw(fc):
-        return [
+    def expand_fw(fc, _made_by):
+        return None, [
             (m, apply_extended_bistellar(fc, m)) for m in enumerate_extended_moves(fc)
         ]
 
-    def expand_bw(fc):
+    def expand_bw(fc, _made_by):
         out = []
         for m in enumerate_extended_moves(fc):
             inner = m.inner
@@ -474,7 +556,7 @@ def _align_states(fc1: FilteredComplex, fc2: FilteredComplex, budget: SearchBudg
                     if extended_applicable(fc, grow) is not None:
                         continue
                     out.append((grow.inverse(), apply_extended_bistellar(fc, grow)))
-        return out
+        return None, out
 
     return _bidirectional(fc1, fc2, expand_fw, expand_bw, _strata_key, budget)
 

@@ -22,6 +22,7 @@ from plmoves import (
     f_vector,
     filtered_s2_equator,
     filtered_s3_equatorial_s2,
+    fresh_vertex,
     inserted_ball,
     inverse_move,
     random_extended_walk,
@@ -273,6 +274,25 @@ def test_checked_moves_derive_the_star_index_of_a_fresh_build(name, seed, steps)
         _assert_derived_index(state)
 
 
+@pytest.mark.parametrize("name", ["disk", "rp2_6", "s2", "s3", "s4", "torus7"])
+@settings(max_examples=10)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    steps=st.integers(min_value=1, max_value=25),
+)
+def test_checked_moves_hand_the_boundary_over(name, seed, steps):
+    # a move at a face outside the boundary keeps the boundary, so a checked
+    # move hands its result the parent's instead of building it again
+    k, avoid, _ = _moveset_starts()[name]
+    _, walk = random_walk(k, steps, seed=seed, avoid=avoid)
+    state = Complex(k.facets, _trusted=True)
+    for record in walk:
+        state = apply_bistellar(state, record.move)
+        assert "boundary_complex" in state.__dict__
+        assert state.boundary_complex == Complex(state.facets).boundary_complex
+    assert state.boundary_complex == k.boundary_complex
+
+
 @pytest.mark.parametrize("start", [filtered_s2_equator, filtered_s3_equatorial_s2])
 @settings(max_examples=5)
 @given(
@@ -316,3 +336,44 @@ def test_non_pure_complexes_derive_their_star_index_too():
     out = apply_bistellar(out, BistellarMove((6,), (1, 2, 3)))
     assert out == k
     _assert_derived_index(out)
+
+
+def _listing(ms):
+    """What a move set says of its complex: the moves, the f-vector and the
+    stars, as sets since a derived star keeps its own order."""
+    return ms.moves(), ms.f_vector, {s: set(fs) for s, fs in ms._star.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_moveset_starts()))
+@settings(max_examples=5)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    steps=st.integers(min_value=1, max_value=6),
+)
+def test_a_copied_move_set_advanced_by_one_move_lists_what_a_fresh_one_does(
+    name, seed, steps
+):
+    # flip_search gives each state a copy of its parent's move set advanced
+    # by the move that made the state: forward by a listed move, backward
+    # also by inserting an end label, or the fresh one, into a facet outside
+    # avoid; the walk goes on from one of the copies, as the search does
+    k, avoid, floor = _moveset_starts()[name]
+    rng = random.Random(seed)
+    ms = MoveSet(k, avoid, floor)
+    state = k
+    for _ in range(steps):
+        before = _listing(ms)
+        labels = sorted((k.vertices - state.vertices) | {fresh_vertex(state, floor)})
+        facets = sorted(f for f in state.facets if f not in avoid)
+        insertion = (rng.choice(facets), Simplex([rng.choice(labels)]))
+        copies = []
+        for a, b in ms.moves() + [insertion]:
+            copy = ms.copy()
+            copy.apply(a, b)
+            result = apply_bistellar(state, BistellarMove(a, b))
+            fresh = MoveSet(Complex(result.facets, _trusted=True), avoid, floor)
+            assert _listing(copy) == _listing(fresh), (a, b)
+            assert copy.complex() == result
+            copies.append((copy, result))
+        assert _listing(ms) == before
+        ms, state = rng.choice(copies)

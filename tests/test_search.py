@@ -33,8 +33,8 @@ from plmoves import (
     stratified_align,
 )
 from plmoves.demos import bipyramid, filtered_s2_equator, rp2_6, torus7
-from plmoves.moves import _rebuild
-from plmoves.search import _fresh_without
+from plmoves.moves import MoveSet, _inserted_facets
+from plmoves.search import _fresh_without, _successor
 from support import disk_with_interior_triangle, hexagon_disk
 
 
@@ -238,8 +238,9 @@ def _output_digest(seq, end):
 
 # Certificates and end complexes of fixed seeds, recorded before simplices
 # built inside the package stopped being re-validated (the torus7 and disk
-# searches: before the search stopped verifying each edge); any change to
-# move order, labels or tie-breaking shows up here.
+# searches: before the search stopped verifying each edge; the two long S3
+# searches: before each state's move set was derived from its parent's);
+# any change to move order, labels or tie-breaking shows up here.
 OUTPUT_DIGESTS = {
     "walk_s3": "e80149ec1f8a9ad92f09a047a3fbb14ff86726dc9af6007beebbab4d488d8074",
     "walk_torus7": "90beb82bd64bb766878241894576c2733cf2772e228db262a649dda81b6618af",
@@ -249,6 +250,8 @@ OUTPUT_DIGESTS = {
     "search_s3": "68853a14804a8baf2abca02ac5800142cecd796cf306094823e036b14bd58b78",
     "search_torus7": "f7224e62fadc3ecb1797b343f725c700871ca4dbbf6a9c3f2d6cc70644987cdc",
     "search_disk": "36ef461eddce313b9ded6c813777b10e87216499e27ac1ccc8f0e7a26f658dd5",
+    "search_s3_864554641": "afc6527c5dc8c8ebe06ecc15f3af609a5ae89906513f67a43e2468f6afe4b151",
+    "search_s3_713852238": "f9324d9529e47e14d967fa5b549a622e1eff0f2dd200b15cd512a40b8f8aeae7",
 }
 
 
@@ -273,6 +276,12 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
     rim = disk.boundary_complex
     disk_near, _ = random_walk(disk, 4, seed=16, avoid=rim)
     disk_search = flip_search(disk, disk_near, avoid=rim)
+    # two 6-move searches that expand a few hundred states each
+    long_s3 = {}
+    for seed in (864554641, 713852238):
+        far, _ = random_walk(s3, 4, seed=seed)
+        seq = flip_search(s3, far)
+        long_s3["search_s3_%d" % seed] = _output_digest(seq, replay(s3, seq))
     got = {
         "walk_s3": _output_digest(walk_seq, walked),
         "walk_torus7": _output_digest(torus_seq, torus_end),
@@ -282,6 +291,7 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
         "search_s3": _output_digest(s3_seq, replay(s3, s3_seq)),
         "search_torus7": _output_digest(torus_search, replay(torus7(), torus_search)),
         "search_disk": _output_digest(disk_search, replay(disk, disk_search)),
+        **long_s3,
     }
     assert got == OUTPUT_DIGESTS
 
@@ -310,17 +320,18 @@ def _rebuild_starts():
     floor=st.integers(min_value=0, max_value=16),
 )
 def test_search_expansion_matches_checked_moves(name, seed, steps, floor):
-    # flip_search builds successors with _rebuild and tests reverse
-    # insertions by label arithmetic on the parent; both must agree with
-    # the checked constructions at every state of a walk
+    # flip_search builds successors from the move set's star and tests
+    # reverse insertions by label arithmetic on the parent; both must agree
+    # with the checked constructions at every state of a walk
     k, avoid = _rebuild_starts()[name]
     _, walk = random_walk(k, steps, seed=seed, avoid=avoid)
     state = k
     removals = 0
     for record in walk:
         for label_floor in (-1, floor):
+            ms = MoveSet(state, avoid, label_floor)
             for m in enumerate_moves(state, avoid, label_floor):
-                result = _rebuild(state, m.a, m.b)
+                result = _successor(state, ms, m.a, _inserted_facets(m.a, m.b))
                 assert result == _checked_rebuild(state, m.a, m.b)
                 if m.a.dim == 0:
                     removals += 1
