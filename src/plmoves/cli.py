@@ -312,6 +312,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def count(text):
+        # a --depth or --nodes value; argparse names it in "invalid count value"
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError("a budget cannot be negative, got %s" % text)
+        return int(text)
+
     def add_common(p, target=False, search_flags=False):
         p.add_argument("--input", default="-", help="document file, - for stdin")
         p.add_argument(
@@ -323,8 +329,8 @@ def _parser() -> argparse.ArgumentParser:
         if target:
             p.add_argument("--target", required=True, help="goal document file")
         if search_flags:
-            p.add_argument("--depth", type=int, default=8, help="certificate length cap")
-            p.add_argument("--nodes", type=int, default=2_000_000, help="search state cap")
+            p.add_argument("--depth", type=count, default=8, help="certificate length cap")
+            p.add_argument("--nodes", type=count, default=2_000_000, help="search state cap")
 
     add_common(sub.add_parser("validate", help="structural validation report"))
     add_common(sub.add_parser("invariants", help="f-vector, Euler characteristic, homology"))

@@ -17,9 +17,8 @@ face set, face membership and the boundary are all read.  A checked move
 does not enumerate them again: ``apply_bistellar``, and
 ``apply_extended_bistellar`` on each stratum it rebuilds, hand the result a
 star index derived from the parent's, in which only the stars of the faces
-of the removed and inserted facets differ; ``apply_bistellar`` hands over
-the parent's boundary as well.  Replaying a certificate enumerates the
-faces of its first state only.
+of the removed and inserted facets differ, and the parent's boundary as
+well.  Replaying a certificate enumerates the faces of its first state only.
 """
 
 from __future__ import annotations
@@ -374,9 +373,14 @@ def product_with_interval(
     return closure(facets)
 
 
+def facet_text(f: Simplex) -> str:
+    """One facet's part of canonical_facet_text: its labels, comma-joined."""
+    return ",".join(map(str, f))
+
+
 def canonical_facet_text(k: Complex) -> str:
     """A canonical one-line rendering of the facet set, used for hashing."""
-    return ";".join(",".join(str(v) for v in f) for f in sorted(k.facets))
+    return ";".join(map(facet_text, sorted(k.facets)))
 
 
 def fingerprint(k: Complex) -> str:

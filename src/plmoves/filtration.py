@@ -265,7 +265,9 @@ def extended_applicable(fc: FilteredComplex, move: ExtendedMove) -> str | None:
 def apply_extended_bistellar(fc: FilteredComplex, move: ExtendedMove) -> FilteredComplex:
     """Replace the iterated suspension of [A * dB] with that of [dA * B] in
     every stratum from the move's own upward.  Restriction to M_k is the
-    plain bistellar move; lower strata are untouched."""
+    plain bistellar move; lower strata are untouched.  Each rebuilt stratum
+    is handed its parent's boundary, which it keeps: the replaced and the
+    inserted ball share their frontier boundary(a) * boundary(b) * P_l."""
     problem = extended_applicable(fc, move)
     if problem is not None:
         raise MoveError("cannot apply %s: %s" % (move, problem))
@@ -276,7 +278,9 @@ def apply_extended_bistellar(fc: FilteredComplex, move: ExtendedMove) -> Filtere
     new_strata = list(fc.strata[:k])
     for level in range(k, fc.n + 1):
         body = join(after_core, move.suspension.pair_complex_through(level))
-        new_strata.append(_derived(fc.strata[level], a, body.facets))
+        out = _derived(fc.strata[level], a, body.facets)
+        out.__dict__["boundary_complex"] = fc.strata[level].boundary_complex
+        new_strata.append(out)
     return FilteredComplex(tuple(new_strata))
 
 

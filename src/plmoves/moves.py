@@ -17,16 +17,18 @@ simplex that appeared or vanished.  ``enumerate_moves`` reads a fresh
 MoveSet once.  Random walks, ``reduce`` and the manifold reducer follow one
 MoveSet through all their steps and do not verify each step;
 ``flip_search`` gives each state a copy of its parent's MoveSet advanced by
-the one move that made it, and builds each successor from that MoveSet's
-star, unverified.  Replaying the certificate they return, which re-checks
-every precondition, is the check.
+the one move that made it; its states are bare facet sets, and each
+successor is the state's facets minus that MoveSet's star of a plus the
+inserted facets, unverified.  Replaying the certificate they return, which
+re-checks every precondition, is the check.
 
 A checked move builds its result once.  After its checks,
 ``apply_bistellar`` hands the result two things the checks built on the
 parent: a star index derived from the parent's (``_derived``), and the
-parent's boundary, which a move at an interior face keeps.  So a replayed
-certificate builds the index and the boundary of its first state only.
-``MoveSet.apply`` and ``_derived`` update a star index through the one
+parent's boundary, which a move at an interior face keeps;
+``apply_extended_bistellar`` does the same on each stratum it rebuilds.  So
+a replayed certificate builds the index and the boundary of its first state
+only.  ``MoveSet.apply`` and ``_derived`` update a star index through the one
 helper ``_replace_in_stars``.
 """
 

@@ -8,9 +8,9 @@ so a bidirectional breadth-first search can meet in the middle and return a
 certificate.  A move changes only the closed star of a, so the search
 keeps move sets the same way: the two ends get fresh, validated move sets,
 and every other state it expands copies its parent's and advances the copy
-by the one move that made the state.  Every successor is built from the
-move set's star without verifying the move; the certificate is verified by
-replay before anyone sees it.  Search is a semi-decision procedure: a None
+by the one move that made the state.  Every successor, a bare facet set,
+is built from the move set's star without verifying the move; the
+certificate is verified by replay before anyone sees it.  Search is a semi-decision procedure: a None
 means the budget ran out, except when the ends differ in dimension or Euler
 characteristic, which no sequence of moves changes.
 
@@ -33,6 +33,7 @@ from .complexes import (
     Simplex,
     canonical_facet_text,
     closure,
+    facet_text,
     fingerprint,
     fresh_vertex,
 )
@@ -239,17 +240,22 @@ def _bidirectional(start, goal, expand_fw, expand_bw, key, budget: SearchBudget)
     return None
 
 
-def _fresh_without(k: Complex, v: int, floor: int) -> int:
-    """The canonical fresh label of k once its vertex v is removed, read
-    from the labels of k: fresh_vertex of the result, without building it."""
-    return max(max((u for u in k.vertices if u != v), default=-1), floor) + 1
+def _fresh_without(vertices, v: int, floor: int) -> int:
+    """The canonical fresh label once the vertex v is removed from a complex
+    with these vertices: fresh_vertex of the result, without building it."""
+    return max(max((u for u in vertices if u != v), default=-1), floor) + 1
 
 
-def _successor(k: Complex, ms: MoveSet, a: Simplex, inserted) -> Complex:
-    """chi_(a, .) applied to k, unverified: the facets of k outside the star
-    of a, read from k's move set ``ms``, plus ``inserted``, the facets of
-    boundary(a) * b."""
-    return Complex(k.facets.difference(ms.star(a)).union(inserted), _trusted=True)
+class _FacetTexts(dict):
+    """facet -> facet_text(facet), built on first use; ``key`` joins them
+    into the canonical_facet_text of a facet set."""
+
+    def __missing__(self, f):
+        text = self[f] = facet_text(f)
+        return text
+
+    def key(self, facets) -> str:
+        return ";".join(map(self.__getitem__, sorted(facets)))
 
 
 class _MoveSetOf:
@@ -297,18 +303,18 @@ def flip_search(
     Euler characteristic, which bistellar moves preserve; only the second
     is a proof that no sequence exists.
 
-    The ends get fresh move sets, validated as enumerate_moves validates
-    them; every other state's move set is a copy of its parent's advanced
-    by the one move that made the state, which lists exactly the moves a
-    fresh one would, since a move at a face outside ``avoid`` keeps both
-    ``avoid`` and the boundary.  Each successor is its parent minus the
-    star of a plus boundary(a) * b, built without verifying the move again;
-    replaying the returned certificate, with every precondition checked, is
-    the check.  Backward expansion enumerates insertion predecessors: a
-    removed label must either be canonically fresh for the predecessor or
-    come back from the label set of the two ends; ephemeral helper labels
-    beyond that are out of reach, which only ever costs completeness, never
-    soundness.
+    A state is the frozenset of its facets.  The ends get fresh move sets,
+    validated as enumerate_moves validates them; every other state's move
+    set is a copy of its parent's advanced by the one move that made the
+    state, which lists exactly the moves a fresh one would, since a move at
+    a face outside ``avoid`` keeps both ``avoid`` and the boundary.  Each
+    successor is its parent's facets minus the star of a plus those of
+    boundary(a) * b, built without verifying the move again; replaying the
+    returned certificate, with every precondition checked, is the check.
+    Backward expansion enumerates insertion predecessors: a removed label
+    must either be canonically fresh for the predecessor or come back from
+    the label set of the two ends; ephemeral helper labels beyond that are
+    out of reach, which only ever costs completeness, never soundness.
     """
     budget = budget or SearchBudget()
     if avoid and not (avoid.is_subcomplex_of(k1) and avoid.is_subcomplex_of(k2)):
@@ -316,53 +322,57 @@ def flip_search(
     if k1.dim != k2.dim or euler_characteristic(k1) != euler_characteristic(k2):
         return None
     end_labels = k1.vertices | k2.vertices
+    ends = {k1.facets: k1, k2.facets: k2}
+    avoided = avoid.simplices
 
     # Edges carry moves as (a, b) pairs; only the certificate's become
     # BistellarMove records.  The context of an expanded state is its
-    # _MoveSetOf, so the states the search keeps hold their facets only.
-    # The facets each move inserts are built once and shared by every state
-    # that holds them.
+    # _MoveSetOf.  The facets each move inserts are built once and shared by
+    # every state that holds them.
     inserted = {}
 
-    def step(k, ms, a, b):
-        facets = inserted.get((a, b))
-        if facets is None:
-            facets = inserted[a, b] = _inserted_facets(a, b)
-        return _successor(k, ms, a, facets)
+    def step(facets, ms, a, b):
+        new = inserted.get((a, b))
+        if new is None:
+            new = inserted[a, b] = _inserted_facets(a, b)
+        return facets.difference(ms.star(a)).union(new)
 
-    def move_set(k, made_by, backward):
-        # k's _MoveSetOf and move set; a backward edge is labelled with the
-        # inverse of the move that made k
+    def move_set(facets, made_by, backward):
+        # the state's _MoveSetOf and move set; a backward edge is labelled
+        # with the inverse of the move that made the state
         if made_by is None:
-            of = _MoveSetOf(None, None, MoveSet(k, avoid, label_floor))
+            of = _MoveSetOf(None, None, MoveSet(ends[facets], avoid, label_floor))
             return of, of.held()
         parent, (a, b) = made_by
         of = _MoveSetOf(parent, (b, a) if backward else (a, b))
         return of, of.derive()
 
-    def expand_fw(k, made_by):
-        of, ms = move_set(k, made_by, False)
-        return of, ((move, step(k, ms, *move)) for move in ms.moves())
+    def expand_fw(facets, made_by):
+        of, ms = move_set(facets, made_by, False)
+        return of, ((move, step(facets, ms, *move)) for move in ms.moves())
 
-    def expand_bw(k, made_by):
-        of, ms = move_set(k, made_by, True)
-        return of, predecessors(k, ms)
+    def expand_bw(facets, made_by):
+        of, ms = move_set(facets, made_by, True)
+        return of, predecessors(facets, ms)
 
-    def predecessors(k, ms):
+    def predecessors(facets, ms):
+        vertices = set().union(*facets)
         for a, b in ms.moves():
             if len(b) == 1:
-                continue  # insertions on k are handled with chosen labels below
-            if len(a) == 1 and a[0] != _fresh_without(k, a[0], label_floor):
+                continue  # insertions get chosen labels below
+            if len(a) == 1 and a[0] != _fresh_without(vertices, a[0], label_floor):
                 continue  # the reverse insertion would use a non-canonical label
-            yield (b, a), step(k, ms, a, b)
+            yield (b, a), step(facets, ms, a, b)
         # subdividing a facet of avoid would remove it from the predecessor
-        facets = [f for f in sorted(k.facets) if f not in avoid]
-        for v in sorted((end_labels - k.vertices) | {fresh_vertex(k, label_floor)}):
+        outside = [f for f in sorted(facets) if f not in avoided]
+        fresh = max(max(vertices), label_floor) + 1
+        for v in sorted((end_labels - vertices) | {fresh}):
             vertex = tuple.__new__(Simplex, (v,))
-            for facet in facets:
-                yield (vertex, facet), step(k, ms, facet, vertex)
+            for facet in outside:
+                yield (vertex, facet), step(facets, ms, facet, vertex)
 
-    moves = _bidirectional(k1, k2, expand_fw, expand_bw, canonical_facet_text, budget)
+    key = _FacetTexts().key
+    moves = _bidirectional(k1.facets, k2.facets, expand_fw, expand_bw, key, budget)
     if moves is None:
         return None
     seq = MoveSequence.for_state(

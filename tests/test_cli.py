@@ -267,6 +267,18 @@ def test_search_budget_exhaustion(tmp_path):
     assert out.strip() == "not found within budget"
 
 
+@pytest.mark.parametrize("command", ["search", "align"])
+@pytest.mark.parametrize("flag, value", [("--depth", "-1"), ("--nodes", "-5")])
+def test_negative_search_budgets_are_usage_errors(tmp_path, command, flag, value):
+    # a negative budget is a mistake in the command, not a search that ran
+    # out: exit code 2, before any document is read
+    f = write(tmp_path, "f.json", demo_text("filtered-s2-equator"))
+    code, out, err = run_cli([command, "--input", f, "--target", f, flag, value])
+    assert code == 2
+    assert out == ""
+    assert "a budget cannot be negative, got %s" % value in err
+
+
 def test_align_identity(tmp_path):
     f = write(tmp_path, "f.json", demo_text("filtered-s2-equator"))
     code, out, _ = run_cli(["align", "--input", f, "--target", f])

@@ -293,7 +293,18 @@ def test_checked_moves_hand_the_boundary_over(name, seed, steps):
     assert state.boundary_complex == k.boundary_complex
 
 
-@pytest.mark.parametrize("start", [filtered_s2_equator, filtered_s3_equatorial_s2])
+def _filtered_disk():
+    """A disk with a rim, filtered by an arc across it from rim to rim; its
+    strata have boundary, unlike the filtered demos'."""
+    disk = stellar_subdivide(hexagon_disk(), (1, 2, 7), new_vertex=8)
+    disk = stellar_subdivide(disk, (4, 5, 7), new_vertex=9)
+    arc = Complex([(1, 8), (7, 8), (7, 9), (4, 9)])
+    return FilteredComplex((EMPTY, arc, disk))
+
+
+@pytest.mark.parametrize(
+    "start", [filtered_s2_equator, filtered_s3_equatorial_s2, _filtered_disk]
+)
 @settings(max_examples=5)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
@@ -314,6 +325,9 @@ def test_checked_extended_moves_derive_every_stratum_index(start, seed, steps):
         lowest = record.move.stratum  # the lower strata are kept
         for stratum in fc.strata[lowest:] + beside.strata[lowest:]:
             _assert_derived_index(stratum)
+            # and each rebuilt stratum is handed its parent's boundary
+            assert "boundary_complex" in stratum.__dict__
+            assert stratum.boundary_complex == Complex(stratum.facets).boundary_complex
 
 
 def test_non_pure_complexes_derive_their_star_index_too():

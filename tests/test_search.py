@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -32,9 +33,16 @@ from plmoves import (
     stellar_subdivide,
     stratified_align,
 )
-from plmoves.demos import bipyramid, filtered_s2_equator, rp2_6, torus7
+from plmoves.demos import (
+    bipyramid,
+    filtered_s2_equator,
+    filtered_s3_equatorial_s2,
+    rp2_6,
+    sphere_boundary,
+    torus7,
+)
 from plmoves.moves import MoveSet, _inserted_facets
-from plmoves.search import _fresh_without, _successor
+from plmoves.search import _FacetTexts, _fresh_without
 from support import disk_with_interior_triangle, hexagon_disk
 
 
@@ -229,8 +237,12 @@ def test_move_sequence_iterates_records():
 
 
 def _output_digest(seq, end):
+    if isinstance(end, Complex):
+        text = canonical_facet_text(end)
+    else:
+        text = "|".join(canonical_facet_text(m) for m in end.strata)
     h = hashlib.sha256()
-    for part in (emit_sequence(seq), canonical_facet_text(end)):
+    for part in (emit_sequence(seq), text):
         h.update(part.encode("ascii"))
         h.update(b"\0")
     return h.hexdigest()
@@ -239,8 +251,10 @@ def _output_digest(seq, end):
 # Certificates and end complexes of fixed seeds, recorded before simplices
 # built inside the package stopped being re-validated (the torus7 and disk
 # searches: before the search stopped verifying each edge; the two long S3
-# searches: before each state's move set was derived from its parent's);
-# any change to move order, labels or tie-breaking shows up here.
+# searches: before each state's move set was derived from its parent's;
+# the floored searches and the alignments: before search states became
+# bare facet sets); any change to move order, labels or tie-breaking shows
+# up here.
 OUTPUT_DIGESTS = {
     "walk_s3": "e80149ec1f8a9ad92f09a047a3fbb14ff86726dc9af6007beebbab4d488d8074",
     "walk_torus7": "90beb82bd64bb766878241894576c2733cf2772e228db262a649dda81b6618af",
@@ -252,6 +266,12 @@ OUTPUT_DIGESTS = {
     "search_disk": "36ef461eddce313b9ded6c813777b10e87216499e27ac1ccc8f0e7a26f658dd5",
     "search_s3_864554641": "afc6527c5dc8c8ebe06ecc15f3af609a5ae89906513f67a43e2468f6afe4b151",
     "search_s3_713852238": "f9324d9529e47e14d967fa5b549a622e1eff0f2dd200b15cd512a40b8f8aeae7",
+    "search_s3_floor30": "d50a461f9909da997179db9b32810bda3033689677ff3660f038aa7655f19205",
+    "search_disk_floor20": "44aac1cf8a9fba11fd4bee9feafc1a0a04223ce97d01bb4dbd38f10d5baf0727",
+    "align_s2_equator_3": "a7f0f4f3df3024ec69957f22ebc0ccebe750d8d97c5b042ec09cb24be085d7cf",
+    "align_s2_equator_4": "ca43b34aca7c0dacc939be89d68a6e539eb3b9cd098ab3779a4d54d7445cfd90",
+    "align_s3_equatorial_s2_1": "290b8a67c68ce473d92049c1a0642e1747e80f9776b0382ea98589e22be1741c",
+    "align_s3_equatorial_s2_5": "0622dfed1876aa7bf9ffe37da005c764e0a852d5883821855a6a8c7418df5281",
 }
 
 
@@ -282,6 +302,27 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
         far, _ = random_walk(s3, 4, seed=seed)
         seq = flip_search(s3, far)
         long_s3["search_s3_%d" % seed] = _output_digest(seq, replay(s3, seq))
+    # floors above every label: fresh labels and reverse insertions follow
+    # the floor, not the largest label
+    floored = {}
+    for name, k, avoid, floor, steps, seed in (
+        ("search_s3_floor30", s3, EMPTY, 30, 5, 40),
+        ("search_disk_floor20", disk, rim, 20, 6, 35),
+    ):
+        far, _ = random_walk(k, steps, seed=seed, avoid=avoid, label_floor=floor)
+        seq = flip_search(k, far, avoid=avoid, label_floor=floor)
+        floored[name] = _output_digest(seq, replay(k, seq))
+    # stratified_align runs a floored flip_search inside each stratum
+    aligned = {}
+    for name, fc, seed in (
+        ("align_s2_equator", filtered_s2_equator(), 3),
+        ("align_s2_equator", filtered_s2_equator(), 4),
+        ("align_s3_equatorial_s2", filtered_s3_equatorial_s2(), 1),
+        ("align_s3_equatorial_s2", filtered_s3_equatorial_s2(), 5),
+    ):
+        end, _ = random_extended_walk(fc, 3, seed=seed)
+        seq = stratified_align(fc, end)
+        aligned["%s_%d" % (name, seed)] = _output_digest(seq, replay(fc, seq))
     got = {
         "walk_s3": _output_digest(walk_seq, walked),
         "walk_torus7": _output_digest(torus_seq, torus_end),
@@ -292,6 +333,8 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
         "search_torus7": _output_digest(torus_search, replay(torus7(), torus_search)),
         "search_disk": _output_digest(disk_search, replay(disk, disk_search)),
         **long_s3,
+        **floored,
+        **aligned,
     }
     assert got == OUTPUT_DIGESTS
 
@@ -320,9 +363,10 @@ def _rebuild_starts():
     floor=st.integers(min_value=0, max_value=16),
 )
 def test_search_expansion_matches_checked_moves(name, seed, steps, floor):
-    # flip_search builds successors from the move set's star and tests
-    # reverse insertions by label arithmetic on the parent; both must agree
-    # with the checked constructions at every state of a walk
+    # flip_search builds each successor as a facet set, from the move set's
+    # star, and tests reverse insertions by label arithmetic on the state's
+    # vertices; both must agree with the checked constructions at every
+    # state of a walk
     k, avoid = _rebuild_starts()[name]
     _, walk = random_walk(k, steps, seed=seed, avoid=avoid)
     state = k
@@ -331,17 +375,42 @@ def test_search_expansion_matches_checked_moves(name, seed, steps, floor):
         for label_floor in (-1, floor):
             ms = MoveSet(state, avoid, label_floor)
             for m in enumerate_moves(state, avoid, label_floor):
-                result = _successor(state, ms, m.a, _inserted_facets(m.a, m.b))
-                assert result == _checked_rebuild(state, m.a, m.b)
+                # the successor flip_search builds
+                result = state.facets.difference(ms.star(m.a)).union(
+                    _inserted_facets(m.a, m.b)
+                )
+                assert result == _checked_rebuild(state, m.a, m.b).facets
                 if m.a.dim == 0:
                     removals += 1
-                    assert _fresh_without(state, m.a[0], label_floor) == fresh_vertex(
-                        result, label_floor
+                    vertices = set().union(*state.facets)
+                    assert _fresh_without(vertices, m.a[0], label_floor) == (
+                        fresh_vertex(Complex(result), label_floor)
                     )
         state = apply_bistellar(state, record.move)
     if name in ("s2", "s3") and len(walk) > 1:
         # the first move on a minimal sphere inserts a removable vertex
         assert removals
+
+
+@pytest.mark.parametrize(
+    "start",
+    [bipyramid, torus7, rp2_6] + [partial(sphere_boundary, n) for n in (2, 3, 4)],
+    ids=["bipyramid", "torus7", "rp2_6", "s2", "s3", "s4"],
+)
+@settings(max_examples=5)
+@given(seed=st.integers(min_value=0, max_value=2**16))
+def test_search_key_is_the_canonical_facet_text(start, seed):
+    # flip_search orders its frontiers by this key, joined from each facet's
+    # cached text; it must equal the text it stands for, so that the order,
+    # and every certificate, stay as canonical_facet_text makes them
+    k = start()
+    key = _FacetTexts().key
+    end, walk = random_walk(k, 12, seed=seed)
+    state = k
+    for record in walk:
+        assert key(state.facets) == canonical_facet_text(state)
+        state = apply_bistellar(state, record.move)
+    assert key(end.facets) == canonical_facet_text(end)
 
 
 def test_search_certificates_repeat_within_a_process():
