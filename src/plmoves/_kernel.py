@@ -1,7 +1,18 @@
-"""Pure-Python kernel: exact integer SNF summaries and the bistellar move
-scan.  The compiled module in ``_speed.pyx`` implements the same two entry
-points; either backend may be selected at import time, and both must agree
-entry for entry (see tests/test_kernels.py).
+"""Exact integer Smith normal form summaries and the bistellar move scan.
+
+There is one backend, this pure-Python module, and no build step:
+
+    snf_summary(entries, nrows, ncols) -> (rank, torsion-factor tuple)
+    scan_moves(facets)                 -> [(a, b-or-None), ...]
+
+``homology`` calls ``snf_summary`` through this module's attribute, so a
+test or a tracer that replaces the attribute sees every call.  The package
+itself no longer calls ``scan_moves``: move sets are read from the star
+index of a complex and kept up to date by ``moves.MoveSet``.  The scan stays
+as an independent reference for ``MoveSet`` (tests/test_moves.py), and it
+and ``BACKEND`` stay under this module's name because the benchmark tracer
+(plmbench/) wraps ``_kernel.scan_moves`` and ``_kernel.snf_summary`` and
+records ``_kernel.BACKEND`` by name.
 """
 
 from __future__ import annotations

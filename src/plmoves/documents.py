@@ -29,7 +29,7 @@ from .complexes import Complex
 from .filtration import ExtendedMove, FilteredComplex, SuspensionData
 from .moves import BistellarMove
 from .search import MoveRecord, MoveSequence
-from .stark import StarkComplex, StarkMove, StarkNeighborhood, _rebuild, _resolve_cells
+from .stark import StarkComplex, StarkMove, StarkNeighborhood, _cell_cones, _resolve_cells
 
 
 class DocumentError(ValueError):
@@ -275,7 +275,7 @@ def neighborhood_document(nbhd: StarkNeighborhood) -> NeighborhoodDocument:
     """Serialize by resolving each level complex over the base cell complex;
     the level entries come back as honest facet lists, not bare supports."""
     cells = _resolve_cells(nbhd)
-    rebuilt = _rebuild(nbhd.base, nbhd, cells)
+    rebuilt = _cell_cones(nbhd.base, nbhd, cells)
     levels = []
     i = 1
     for level in nbhd.levels:

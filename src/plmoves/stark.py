@@ -142,7 +142,7 @@ def _resolve_cells(nbhd: StarkNeighborhood):
     return cells
 
 
-def _rebuild(t: Complex, nbhd: StarkNeighborhood, cells):
+def _cell_cones(t: Complex, nbhd: StarkNeighborhood, cells):
     """Per-cell triangulations of T up N, as (cone base, cone) pairs in the
     order of ``cells``; entry 0 is (None, t)."""
     out = [(None, t)]
@@ -168,7 +168,7 @@ def cone_extend(t: Complex, nbhd: StarkNeighborhood) -> Complex:
         raise StarkError(
             "the triangulation must be a pure %d-complex" % nbhd.base.dim
         )
-    rebuilt = _rebuild(t, nbhd, _resolve_cells(nbhd))
+    rebuilt = _cell_cones(t, nbhd, _resolve_cells(nbhd))
     facets = []
     for _, piece in rebuilt:
         facets.extend(piece.facets)
@@ -258,7 +258,7 @@ def validate_stark_neighborhood(x: StarkComplex, nbhd: StarkNeighborhood) -> Sta
         notes.append("ball check for the base undecided")
     try:
         cells = _resolve_cells(nbhd)
-        rebuilt = _rebuild(nbhd.base, nbhd, cells)
+        rebuilt = _cell_cones(nbhd.base, nbhd, cells)
     except StarkError as e:
         findings.append(str(e))
         return StarkReport(False, tuple(findings), tuple(notes))

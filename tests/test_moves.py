@@ -13,6 +13,7 @@ from plmoves import (
     FilteredComplex,
     MoveError,
     Simplex,
+    _kernel,
     apply_bistellar,
     apply_extended_bistellar,
     applicability_obstruction,
@@ -250,6 +251,26 @@ def test_moveset_follows_a_walk_like_a_fresh_scan(name, seed):
     assert [BistellarMove(a, b) for a, b in ms.moves()] == [m for m in expected if m]
     if name in ("s2", "s3", "s3_floor"):
         assert top_removals
+
+
+def test_the_standalone_scan_lists_what_a_move_set_does():
+    # scan_moves builds its own star from the facets and knows nothing of
+    # MoveSet; a facet's move has no b since the scan picks no fresh label
+    states = [torus7(), rp2_6(), hexagon_disk()]
+    states += [random_walk(boundary_of_simplex(4), 25, seed=seed)[0] for seed in range(4)]
+    states.append(random_walk(boundary_of_simplex(5), 25, seed=5)[0])
+    # a path with 80 vertices and two boundary vertices
+    states.append(Complex([(i, i + 1) for i in range(1, 80)]))
+    facet_moves = set()
+    for k in states:
+        scan = _kernel.scan_moves(sorted(tuple(f) for f in k.facets))
+        moves = enumerate_moves(k, k.boundary_complex or EMPTY)
+        assert scan == [(m.a, None if m.a in k.facets else m.b) for m in moves]
+        facet_moves.update(b is None for _, b in scan)
+    assert facet_moves == {True, False}
+    with pytest.raises(ValueError, match="^scan_moves needs a pure complex$"):
+        _kernel.scan_moves(sorted([(1, 2), (1, 2, 3)]))
+    assert _kernel.scan_moves([]) == []
 
 
 def _assert_derived_index(k):

@@ -1,7 +1,5 @@
-"""Reference checks of the pure Smith normal form kernel.
+"""Reference checks of the Smith normal form kernel.
 
-They need no optional build step, so they run in every Tier-1 run; the
-parity of the compiled kernel with this one is checked in test_kernels.py.
 Ranks are checked against Gaussian elimination over the rationals, and
 invariant factors against determinantal divisors: the product of the first
 k invariant factors is the gcd of all k x k minors.
@@ -12,7 +10,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from plmoves._kernel import pure
+import pytest
+
+from plmoves import _kernel
 
 
 def random_entries(rng, nrows, ncols, density=0.3, magnitude=4):
@@ -84,7 +84,7 @@ def test_snf_rank_matches_rational_rank_on_random_matrices():
         nrows = rng.randint(1, 12)
         ncols = rng.randint(1, 12)
         entries = random_entries(rng, nrows, ncols)
-        rank, _ = pure.snf_summary(entries, nrows, ncols)
+        rank, _ = _kernel.snf_summary(entries, nrows, ncols)
         assert rank == rank_over_q(entries, nrows, ncols), (trial, entries, nrows, ncols)
 
 
@@ -93,7 +93,7 @@ def test_snf_rank_with_large_values():
     big = 1 << 40
     for trial in range(20):
         entries = random_entries(rng, 8, 8, density=0.6, magnitude=big)
-        rank, _ = pure.snf_summary(entries, 8, 8)
+        rank, _ = _kernel.snf_summary(entries, 8, 8)
         assert rank == rank_over_q(entries, 8, 8), trial
 
 
@@ -110,7 +110,22 @@ KNOWN_VALUES = [
 
 def test_snf_known_values():
     for args, want in KNOWN_VALUES:
-        assert pure.snf_summary(*args) == want, args
+        assert _kernel.snf_summary(*args) == want, args
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([(5, 0, 1)], "entry (5, 0) outside a 2x2 matrix"),
+        ([(0, 9, 1)], "entry (0, 9) outside a 2x2 matrix"),
+        ([(0, 0, 1), (0, 0, 2)], "duplicate entry at (0, 0)"),
+        ([(-1, 0, 3)], "entry (-1, 0) outside a 2x2 matrix"),
+    ],
+)
+def test_snf_rejects_entries_outside_the_matrix_or_repeated(entries, message):
+    with pytest.raises(ValueError) as err:
+        _kernel.snf_summary(entries, 2, 2)
+    assert str(err.value) == message
 
 
 def test_snf_torsion_matches_determinantal_divisors():
@@ -121,7 +136,7 @@ def test_snf_torsion_matches_determinantal_divisors():
         ncols = rng.randint(1, 5)
         entries = random_entries(rng, nrows, ncols, density=0.6, magnitude=6)
         want = invariant_factors(entries, nrows, ncols)
-        assert pure.snf_summary(entries, nrows, ncols) == want, (trial, entries, nrows, ncols)
+        assert _kernel.snf_summary(entries, nrows, ncols) == want, (trial, entries, nrows, ncols)
         with_torsion += bool(want[1])
     assert with_torsion >= 20  # the draw exercises the residue path
 
