@@ -219,17 +219,11 @@ def scan_moves(facets):
             for s in combinations(f, r):
                 star.setdefault(s, []).append(f)
 
-    boundary = set()
-    if size > 1:
-        for s, fs in star.items():
-            if len(s) == size - 1 and len(fs) == 1:
-                for r in range(1, size):
-                    boundary.update(combinations(s, r))
-
+    # no boundary pass: a face a of a ridge r in one facet never passes the
+    # link test below, which asks for every facet of the boundary of B, where
+    # r - a (empty when a = r) would lie in two link facets, so r in two facets
     out = []
     for a in sorted(star):
-        if a in boundary:
-            continue
         fs = star[a]
         if len(a) == size:
             out.append((a, None))

@@ -313,7 +313,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def count(text):
-        # a --depth or --nodes value; argparse names it in "invalid count value"
+        # a --depth, --nodes or --moves value; argparse names it in "invalid count value"
         if int(text) < 0:
             raise argparse.ArgumentTypeError("a budget cannot be negative, got %s" % text)
         return int(text)
@@ -354,7 +354,7 @@ def _parser() -> argparse.ArgumentParser:
 
     reduce_parser = sub.add_parser("reduce", help="drive a complex toward the boundary-simplex form")
     add_common(reduce_parser)
-    reduce_parser.add_argument("--moves", type=int, default=600, help="move budget")
+    reduce_parser.add_argument("--moves", type=count, default=600, help="move budget")
     reduce_parser.add_argument("--seed", type=int, default=0, help="tie-breaking seed")
 
     demo_parser = sub.add_parser("demo", help="emit a named example document")

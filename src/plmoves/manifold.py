@@ -4,13 +4,14 @@ manifolds.
 The pseudomanifold test (every ridge in at most two top-dimensional facets)
 is exact in all dimensions.  Sphere and ball recognition is exact for
 complexes of dimension at most two, where the classification of surfaces
-settles everything; in dimension three and above it falls back on greedy
-bistellar reduction toward the boundary of a simplex, which can prove a
-sphere but can only ever answer "unknown" when it stalls.  Ball recognition
-in dimension three cones off the boundary and sphere-checks the result
-(sound by Alexander's theorem); in dimension four and above a positive
-answer is withheld and "unknown" returned, since the corresponding
-Schoenflies question is open.
+settles everything; in dimension three and above it falls back on
+``moves.greedy_reduction``, the one greedy bistellar reducer, which
+``reduce`` runs too: reaching the boundary of a simplex proves a sphere, and
+a stall alone can only ever answer "unknown".  Ball recognition in
+dimension three cones off the boundary and sphere-checks the result (sound
+by Alexander's theorem); in dimension four and above a positive answer is
+withheld and "unknown" returned, since the corresponding Schoenflies
+question is open.
 
 In the closed case of dimension three and up, the reduction runs first,
 after the cheap tests of purity, connectedness and ridges.  Reaching the
@@ -34,12 +35,11 @@ the verdict, are read from the star index by one helper.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, field
 
 from .complexes import EMPTY, Complex, Simplex, cone, fresh_vertex, link
-from .homology import euler_characteristic, f_vector, homology, minimal_sphere_f_vector
-from .moves import MoveError, MoveSet, fsum_delta
+from .homology import euler_characteristic, homology, minimal_sphere_f_vector
+from .moves import MoveSet, greedy_reduction
 
 
 class Verdict(enum.Enum):
@@ -144,37 +144,6 @@ def _surface_kind(k: Complex, verdicts: dict):
     return "disk" if euler_characteristic(k) == 1 else None
 
 
-def _reduces_to_minimal_sphere(k: Complex, move_budget: int = 600, seed: int = 7) -> bool:
-    """Greedy bistellar reduction toward the boundary of a simplex, with a
-    few seeded sideways flips to get past plateaus.  True only when the
-    minimal sphere is actually reached."""
-    target = minimal_sphere_f_vector(k.dim)
-    if f_vector(k) == target:
-        return True
-    try:
-        ms = MoveSet(k)
-    except MoveError:
-        return False
-    rng = random.Random(seed)
-    sideways = 0
-    for _ in range(move_budget):
-        if ms.f_vector == target:
-            return True
-        cands = ms.moves()
-        deltas = [fsum_delta(a, b) for a, b in cands]
-        best = min(deltas, default=0)
-        if best < 0:
-            ms.apply(*cands[deltas.index(best)])  # the least a among the best
-            sideways = 0
-            continue
-        flat = [m for m, d in zip(cands, deltas) if d == 0]
-        if not flat or sideways > 8 * ms.f_vector[0]:
-            return False
-        ms.apply(*flat[rng.randrange(len(flat))])
-        sideways += 1
-    return ms.f_vector == target
-
-
 def _sphere_homology_ok(k: Complex, d: int) -> bool:
     hs = homology(k)
     for i, h in enumerate(hs):
@@ -197,7 +166,8 @@ def _verdict(k: Complex, expect_dim: int, verdicts: dict):
     """``sphere_or_ball_verdict``, looked up in ``verdicts`` first.
 
     The table belongs to one top-level check.  A verdict depends only on
-    the facet set (the reducer's moves come sorted and its seed is fixed),
+    the facet set (``greedy_reduction`` reads its moves sorted and runs
+    with its default seed),
     and lk(w, lk(v, K)) = lk(vw, K), so the links of links reached from
     different vertices are each decided once.
     """
@@ -243,7 +213,9 @@ def _decide(k: Complex, expect_dim: int, verdicts: dict):
     boundary = k.boundary_complex
     if not boundary:
         # a reduction proves a PL sphere, on which no check below says no
-        if _reduces_to_minimal_sphere(k):
+        ms = MoveSet(k)
+        greedy_reduction(ms)
+        if ms.f_vector == minimal_sphere_f_vector(d):
             return Verdict.YES, "sphere"
         if not _sphere_homology_ok(k, d):
             return Verdict.NO, None

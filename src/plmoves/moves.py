@@ -14,8 +14,9 @@ complex once and tests every face with its one candidate test; applying a
 move updates only the stars of the faces of the removed and added facets,
 and tests again those faces and the faces whose link is the boundary of a
 simplex that appeared or vanished.  ``enumerate_moves`` reads a fresh
-MoveSet once.  Random walks, ``reduce`` and the manifold reducer follow one
-MoveSet through all their steps and do not verify each step;
+MoveSet once.  Random walks and ``greedy_reduction``, the one greedy
+reducer behind both ``reduce`` and the sphere verdict, follow one MoveSet
+through all their steps and do not verify each step;
 ``flip_search`` gives each state a copy of its parent's MoveSet advanced by
 the one move that made it; its states are bare facet sets, and each
 successor is the state's facets minus that MoveSet's star of a plus the
@@ -34,6 +35,7 @@ helper ``_replace_in_stars``.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .complexes import (
@@ -47,6 +49,7 @@ from .complexes import (
     simplex_boundary,
     simplex_complex,
 )
+from .homology import minimal_sphere_f_vector
 
 
 class MoveError(ValueError):
@@ -362,6 +365,56 @@ class MoveSet:
     def complex(self) -> Complex:
         """The current complex."""
         return Complex([s for s in self._star if len(s) == self._size], _trusted=True)
+
+
+def greedy_reduction(
+    ms: MoveSet, move_budget: int = 600, seed: int = 0, relax: int = 2
+) -> list[tuple[Simplex, Simplex]]:
+    """Advance ``ms`` toward the f-vector of a simplex boundary; return the
+    moves (a, b) applied, in order.
+
+    Greedy: always take the most simplex-count-decreasing move (ties by the
+    least a); on a plateau, spend an allowance of 8 f_0 + 16 seeded sideways
+    or mildly uphill moves, never exceeding the recorded simplex-count
+    high-water mark plus ``relax``.  Stops at the target f-vector, on stall,
+    or after ``move_budget`` moves.  ``reduce`` records the moves as a
+    certificate; the sphere verdict asks only whether the target was reached.
+
+    >>> from .demos import bipyramid
+    >>> ms = MoveSet(bipyramid())
+    >>> len(greedy_reduction(ms)), ms.f_vector
+    (1, (4, 6, 4))
+    """
+    minimal = minimal_sphere_f_vector(ms._size - 1)
+    rng = random.Random(seed)
+    applied = []
+    high = sum(ms.f_vector)
+    sideways_left = 8 * ms.f_vector[0] + 16
+    while len(applied) < move_budget:
+        if ms.f_vector == minimal:
+            break
+        moves = ms.moves()
+        if not moves:
+            break
+        deltas = [fsum_delta(a, b) for a, b in moves]
+        best = min(deltas)
+        if best < 0:
+            a, b = moves[deltas.index(best)]  # the least a among the best
+        else:
+            if sideways_left <= 0:
+                break
+            step = 0
+            if 0 not in deltas:
+                allowance = high + relax - sum(ms.f_vector)
+                step = min((d for d in deltas if 0 < d <= allowance), default=None)
+                if step is None:
+                    break
+            a, b = rng.choice([m for m, d in zip(moves, deltas) if d == step])
+            sideways_left -= 1
+        ms.apply(a, b)
+        applied.append((a, b))
+        high = max(high, sum(ms.f_vector))
+    return applied
 
 
 def enumerate_moves(

@@ -53,7 +53,7 @@ from .moves import (
     MoveSet,
     _inserted_facets,
     apply_bistellar,
-    fsum_delta,
+    greedy_reduction,
 )
 from .stark import StarkComplex, StarkMove, apply_stark_move
 
@@ -434,49 +434,23 @@ def reduce(
 ) -> tuple[Complex, MoveSequence]:
     """Drive a closed pseudomanifold toward a minimal triangulation.
 
-    Greedy: always take the most simplex-count-decreasing move (ties by
-    lexicographic move); on a plateau, spend a bounded allowance of seeded
-    sideways or mildly uphill moves, never exceeding the recorded
-    simplex-count high-water mark plus ``relax``.  Stops at the f-vector of
-    a simplex boundary, on stall, or when the budget runs out.  Like
-    random_walk it follows one incremental move set without verifying each
-    step; the certificate always replays.  A complex with boundary is
-    refused with a SearchError.
+    The moves are those of ``moves.greedy_reduction``, the one greedy
+    reducer, which the sphere verdict runs too: the most
+    simplex-count-decreasing move first, and on a plateau a bounded
+    allowance of seeded sideways or mildly uphill moves within ``relax`` of
+    the simplex-count high-water mark.  Like random_walk it follows one
+    incremental move set without verifying each step; the certificate
+    always replays.  A complex with boundary is refused with a SearchError.
     """
-    minimal = minimal_sphere_f_vector(k.dim)
-    if move_budget <= 0 or f_vector(k) == minimal:
+    if move_budget <= 0 or f_vector(k) == minimal_sphere_f_vector(k.dim):
         return k, MoveSequence.for_state(k, [])
     if k.boundary_complex:
         raise SearchError("reduce needs a closed complex; this one has boundary")
-    rng = random.Random(seed)
-    records = []
     ms = MoveSet(k)
-    high = sum(ms.f_vector)
-    sideways_left = 8 * len(k.vertices) + 16
-    while len(records) < move_budget:
-        if ms.f_vector == minimal:
-            break
-        moves = ms.moves()
-        if not moves:
-            break
-        deltas = [fsum_delta(a, b) for a, b in moves]
-        best = min(deltas)
-        if best < 0:
-            a, b = moves[deltas.index(best)]  # the least a among the best
-        else:
-            if sideways_left <= 0:
-                break
-            step = 0
-            if 0 not in deltas:
-                allowance = high + relax - sum(ms.f_vector)
-                step = min((d for d in deltas if 0 < d <= allowance), default=None)
-                if step is None:
-                    break
-            a, b = rng.choice([m for m, d in zip(moves, deltas) if d == step])
-            sideways_left -= 1
-        ms.apply(a, b)
-        records.append(MoveRecord("bistellar", BistellarMove(a, b)))
-        high = max(high, sum(ms.f_vector))
+    records = [
+        MoveRecord("bistellar", BistellarMove(a, b))
+        for a, b in greedy_reduction(ms, move_budget, seed, relax)
+    ]
     return ms.complex(), MoveSequence.for_state(k, records)
 
 

@@ -279,6 +279,20 @@ def test_negative_search_budgets_are_usage_errors(tmp_path, command, flag, value
     assert "a budget cannot be negative, got %s" % value in err
 
 
+def test_a_negative_reduce_budget_is_a_usage_error(tmp_path):
+    # on a disk: a budget that got past the parser would end in the refusal
+    # of a complex with boundary, or in an empty reduction, not in exit 2
+    disk = Complex([(i, i % 6 + 1, 7) for i in range(1, 7)])
+    f = write(tmp_path, "disk.json", emit_document(document_for_complex(disk)))
+    code, out, err = run_cli(["reduce", "--input", f, "--moves", "-3"])
+    assert code == 2
+    assert out == ""
+    assert "a budget cannot be negative, got -3" in err
+    bip = write(tmp_path, "bip.json", demo_text("bipyramid"))
+    code, out, _ = run_cli(["reduce", "--input", bip, "--moves", "0"])
+    assert code == 0 and "in 0 moves" in out
+
+
 def test_align_identity(tmp_path):
     f = write(tmp_path, "f.json", demo_text("filtered-s2-equator"))
     code, out, _ = run_cli(["align", "--input", f, "--target", f])

@@ -6,7 +6,10 @@ from plmoves import (
     boundary_of_simplex,
     check_combinatorial_manifold,
     cone,
+    f_vector,
+    link,
     random_walk,
+    reduce,
     sphere_or_ball_verdict,
     star,
     suspension,
@@ -90,17 +93,32 @@ def test_report_renders_offenders():
     assert "offenders" in text
 
 
-# Reports on walked spheres, recorded before the manifold reducer followed
-# one incremental move set.  An "unknown" is a vertex link whose greedy
-# reduction stalls; it must stall on the same links.
+def test_the_sphere_verdict_runs_the_rule_of_reduce():
+    # one greedy reducer: a closed vertex link of a walked 4-sphere is a YES
+    # exactly when reduce takes it to the boundary of the 4-simplex
+    links = 0
+    for seed in range(4):
+        walked, _ = random_walk(boundary_of_simplex(5), 30, seed=seed)
+        for v in sorted(walked.vertices):
+            lk = link((v,), walked)
+            reached = f_vector(reduce(lk)[0]) == (5, 10, 10, 5)
+            yes = sphere_or_ball_verdict(lk, 3)[0] is Verdict.YES
+            assert yes == reached, (seed, v)
+            links += 1
+    assert links == 78
+
+
+# Reports on walked spheres.  An "unknown" would be a vertex link that the
+# greedy reduction of ``reduce`` does not take to the boundary of a simplex;
+# (4, 30, 0) and (4, 60, 1) were "unknown" while the manifold check ran a
+# weaker reducer of its own, and each link it stalled on now reduces.
 WALKED_REPORTS = {
     (3, 30, 0): "combinatorial manifold: yes",
     (3, 30, 1): "combinatorial manifold: yes",
     (3, 60, 2): "combinatorial manifold: yes",
-    (4, 30, 0): "combinatorial manifold: unknown; offenders: [7] (vertex link verdict unknown)",
+    (4, 30, 0): "combinatorial manifold: yes",
     (4, 30, 1): "combinatorial manifold: yes",
-    (4, 60, 1): "combinatorial manifold: unknown; offenders: "
-    "[2] (vertex link verdict unknown), [11] (vertex link verdict unknown)",
+    (4, 60, 1): "combinatorial manifold: yes",
     (4, 60, 3): "combinatorial manifold: yes",
 }
 
@@ -155,7 +173,8 @@ FAILING = {
 STAR_VERDICTS = {
     # (n, steps, seed, vertex) -> verdict of the closed star as an n-ball
     (4, 10, 3, 1): (Verdict.UNKNOWN, None),
-    (3, 12, 2, 1): (Verdict.UNKNOWN, None),
+    # coned off, this star is a 3-sphere that reduces (once "unknown")
+    (3, 12, 2, 1): (Verdict.YES, "ball"),
     (3, 12, 2, 2): (Verdict.YES, "ball"),
     (3, 12, 2, 3): (Verdict.YES, "ball"),
 }
