@@ -102,7 +102,6 @@ from .search import (
     stratified_align,
 )
 from .stark import (
-    StarkComplex,
     StarkError,
     StarkMove,
     StarkNeighborhood,

@@ -61,7 +61,6 @@ from .search import (
 )
 from .search import reduce as reduce_complex
 from .stark import (
-    StarkComplex,
     StarkError,
     validate_stark_complex,
     validate_stark_neighborhood,
@@ -80,7 +79,8 @@ def _load_document(path: str) -> ComplexDocument:
 
 
 def _state_for(doc: ComplexDocument):
-    """The richest state a document describes: stark, filtered, or plain."""
+    """The richest state a document describes: filtered (neighborhoods
+    validated) or plain."""
     if doc.stark_neighborhoods is not None:
         return to_stark(doc)[0]
     if doc.strata is not None:
@@ -201,9 +201,7 @@ def _cmd_moves_apply(args) -> int:
     state = _state_for(doc)
     seq = parse_sequence(_read_text(args.sequence))
     result = replay(state, seq)
-    if isinstance(result, StarkComplex):
-        out = document_for_filtered(result.as_filtered())
-    elif isinstance(result, FilteredComplex):
+    if isinstance(result, FilteredComplex):
         out = document_for_filtered(result)
     else:
         out = document_for_complex(result)

@@ -16,7 +16,7 @@ from .documents import (
     document_for_stark,
 )
 from .filtration import FilteredComplex
-from .stark import StarkComplex, StarkNeighborhood
+from .stark import StarkNeighborhood
 
 
 def sphere_boundary(n: int) -> Complex:
@@ -77,14 +77,14 @@ def filtered_s3_equatorial_s2() -> FilteredComplex:
     return FilteredComplex((EMPTY, EMPTY, s2, s3))
 
 
-def knot_model() -> tuple[StarkComplex, tuple[StarkNeighborhood, ...]]:
+def knot_model() -> tuple[FilteredComplex, tuple[StarkNeighborhood, ...]]:
     """Local model of a knotted arc on a spanning surface inside a 3-ball:
     the ball is the join of the edge 1-2 with the 4-cycle 3-5-4-6, the arc
     is the edge itself, and the surface piece is the triangle 1-2-3 plus
     its mirror 1-2-4.  The neighborhood of the arc cones first over the
     surface directions (apexes 3, 4) and then over the ambient directions
     (apexes 5, 6)."""
-    x = StarkComplex(
+    x = FilteredComplex(
         (
             EMPTY,
             Complex([(1, 2)]),
@@ -102,7 +102,7 @@ def knot_model() -> tuple[StarkComplex, tuple[StarkNeighborhood, ...]]:
     return x, (nb,)
 
 
-def join_fan(n: int) -> tuple[StarkComplex, tuple[StarkNeighborhood, ...]]:
+def join_fan(n: int) -> tuple[FilteredComplex, tuple[StarkNeighborhood, ...]]:
     """The join of the edge 1-2 with n points 3..n+2: n triangles sharing
     one edge.  For n > 2 the shared edge is non-manifold, so the space is
     stratified by the full 1-skeleton over the endpoints of the singular
@@ -115,7 +115,7 @@ def join_fan(n: int) -> tuple[StarkComplex, tuple[StarkNeighborhood, ...]]:
     triangles = [(1, 2, p) for p in points]
     x2 = Complex(triangles)
     x1 = Complex(sorted(x2.simplices_of_dim(1)))
-    x = StarkComplex((Complex([(1,), (2,)]), x1, x2))
+    x = FilteredComplex((Complex([(1,), (2,)]), x1, x2))
     fresh = n + 3
     main = StarkNeighborhood(
         Complex([(1, 2)]),

@@ -29,7 +29,7 @@ from .complexes import Complex
 from .filtration import ExtendedMove, FilteredComplex, SuspensionData
 from .moves import BistellarMove
 from .search import MoveRecord, MoveSequence
-from .stark import StarkComplex, StarkMove, StarkNeighborhood, _cell_cones, _resolve_cells
+from .stark import StarkMove, StarkNeighborhood, _cell_cones, _resolve_cells
 
 
 class DocumentError(ValueError):
@@ -259,12 +259,11 @@ def neighborhood_from_document(nb: NeighborhoodDocument) -> StarkNeighborhood:
     return StarkNeighborhood(_facet_complex(nb.base_facets, "base_facets"), levels)
 
 
-def to_stark(doc: ComplexDocument) -> tuple[StarkComplex, tuple[StarkNeighborhood, ...]]:
-    x = StarkComplex.from_filtered(to_filtered(doc))
+def to_stark(doc: ComplexDocument) -> tuple[FilteredComplex, tuple[StarkNeighborhood, ...]]:
     neighborhoods = tuple(
         neighborhood_from_document(nb) for nb in doc.stark_neighborhoods or ()
     )
-    return x, neighborhoods
+    return to_filtered(doc), neighborhoods
 
 
 def _complex_facets(k: Complex) -> Facets:
@@ -299,11 +298,11 @@ def document_for_filtered(fc: FilteredComplex, metadata: dict | None = None) -> 
 
 
 def document_for_stark(
-    x: StarkComplex,
+    x: FilteredComplex,
     neighborhoods: tuple[StarkNeighborhood, ...] = (),
     metadata: dict | None = None,
 ) -> ComplexDocument:
-    base = document_for_filtered(x.as_filtered(), metadata)
+    base = document_for_filtered(x, metadata)
     docs = tuple(neighborhood_document(nb) for nb in neighborhoods)
     return ComplexDocument(
         base.dimension, base.facets, base.strata, docs or None, metadata

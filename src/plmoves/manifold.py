@@ -212,6 +212,10 @@ def _decide(k: Complex, expect_dim: int, verdicts: dict):
         return Verdict.NO, None
     boundary = k.boundary_complex
     if not boundary:
+        # d + 2 distinct d-facets on d + 2 vertices are every d-face of the
+        # (d+1)-simplex, so k is its boundary and needs no reduction
+        if len(k.vertices) == len(k.facets) == d + 2:
+            return Verdict.YES, "sphere"
         # a reduction proves a PL sphere, on which no check below says no
         ms = MoveSet(k)
         greedy_reduction(ms)

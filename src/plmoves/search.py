@@ -55,7 +55,7 @@ from .moves import (
     apply_bistellar,
     greedy_reduction,
 )
-from .stark import StarkComplex, StarkMove, apply_stark_move
+from .stark import StarkMove, apply_stark_move
 
 
 class SearchError(ValueError):
@@ -130,12 +130,10 @@ def _apply_record(state, record: MoveRecord):
         if not isinstance(state, Complex):
             raise SearchError("bistellar record applied to a stratified state")
         return apply_bistellar(state, record.move)
+    if not isinstance(state, FilteredComplex):
+        raise SearchError("%s record needs a filtered complex" % record.kind)
     if record.kind == "extended":
-        if not isinstance(state, FilteredComplex):
-            raise SearchError("extended record needs a filtered complex")
         return apply_extended_bistellar(state, record.move)
-    if not isinstance(state, StarkComplex):
-        raise SearchError("stark record needs a stark complex")
     return apply_stark_move(state, record.move)
 
 

@@ -2,6 +2,9 @@
 
 A starkly stratified space carries nested strata X_0 .. X_n = X whose open
 parts X_k \\ X_{k-1} are k-manifolds with combinatorially-manifold closures.
+Its state is a FilteredComplex, the same shape as a filtered manifold: a
+document's state is filtered (neighborhoods validated) or plain, and the
+stark conditions on the open parts live in validate_stark_complex.
 A stark neighborhood of a k-ball lists, level by level l = k .. n-1, apexes
 v together with cell descriptions L(v), each a ball with base <= L(v) <=
 N_l; the neighborhood is N = base u U join(L(v), v).  Cells are stored
@@ -26,51 +29,13 @@ from .complexes import (
     simplex_boundary,
     simplex_complex,
 )
-from .filtration import FilteredComplex, FiltrationError, SuspensionData
+from .filtration import FilteredComplex, FiltrationReport, SuspensionData
 from .manifold import Verdict, check_combinatorial_manifold, sphere_or_ball_verdict
 from .moves import BistellarMove
 
 
 class StarkError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class StarkReport:
-    ok: bool
-    findings: tuple[str, ...]
-    notes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class StarkComplex:
-    """Strata X_0 .. X_n with X_n the whole space.  Structurally this is
-    the same shape as a filtered complex; the stark conditions on the open
-    parts live in validate_stark_complex."""
-
-    strata: tuple[Complex, ...]
-
-    def __post_init__(self):
-        try:
-            shaped = FilteredComplex(tuple(self.strata))
-        except FiltrationError as e:
-            raise StarkError(str(e)) from None
-        object.__setattr__(self, "strata", shaped.strata)
-
-    @property
-    def space(self) -> Complex:
-        return self.strata[-1]
-
-    @property
-    def n(self) -> int:
-        return len(self.strata) - 1
-
-    @classmethod
-    def from_filtered(cls, fc: FilteredComplex) -> "StarkComplex":
-        return cls(fc.strata)
-
-    def as_filtered(self) -> FilteredComplex:
-        return FilteredComplex(self.strata)
 
 
 def _support(l) -> frozenset:
@@ -175,12 +140,18 @@ def cone_extend(t: Complex, nbhd: StarkNeighborhood) -> Complex:
     return closure(facets)
 
 
-def validate_stark_complex(x: StarkComplex) -> StarkReport:
+def validate_stark_complex(x: FilteredComplex) -> FiltrationReport:
     """The checkable stark conditions: each X_k is a subcomplex (true by
     construction) and the closure of every connected component of an open
     part X_k \\ X_{k-1} is a combinatorial k-manifold, boundary allowed.
     Existence of stark neighborhoods around every ball is an assumption on
-    the input; supplied neighborhoods are checked individually."""
+    the input; supplied neighborhoods are checked individually.
+
+    >>> from plmoves.demos import knot_model
+    >>> x, _ = knot_model()
+    >>> type(x).__name__, validate_stark_complex(x).ok
+    ('FilteredComplex', True)
+    """
     findings = []
     notes = [
         "neighborhood existence (condition 4) is assumed; validate each"
@@ -211,7 +182,7 @@ def validate_stark_complex(x: StarkComplex) -> StarkReport:
                     "manifold check undecided for a component closure in"
                     " stratum %d" % k
                 )
-    return StarkReport(not findings, tuple(findings), tuple(notes))
+    return FiltrationReport(not findings, tuple(findings), tuple(notes))
 
 
 def _face_components(simplices):
@@ -237,7 +208,7 @@ def _face_components(simplices):
     return list(groups.values())
 
 
-def validate_stark_neighborhood(x: StarkComplex, nbhd: StarkNeighborhood) -> StarkReport:
+def validate_stark_neighborhood(x: FilteredComplex, nbhd: StarkNeighborhood) -> FiltrationReport:
     """Check the inductive join structure cell by cell, run ball checks on
     the base and on every resolved cell (exact through dimension 2,
     heuristic above), and verify the stratum constraints: level-l apexes
@@ -261,7 +232,7 @@ def validate_stark_neighborhood(x: StarkComplex, nbhd: StarkNeighborhood) -> Sta
         rebuilt = _cell_cones(nbhd.base, nbhd, cells)
     except StarkError as e:
         findings.append(str(e))
-        return StarkReport(False, tuple(findings), tuple(notes))
+        return FiltrationReport(False, tuple(findings), tuple(notes))
     for (apex, _, _), (lhat, _) in zip(cells[1:], rebuilt[1:]):
         verdict, kind = sphere_or_ball_verdict(lhat, lhat.dim)
         if verdict is Verdict.NO or (verdict is Verdict.YES and kind != "ball"):
@@ -276,7 +247,7 @@ def validate_stark_neighborhood(x: StarkComplex, nbhd: StarkNeighborhood) -> Sta
                 findings.append(
                     "level-%d apex %d lies in X_%d" % (k + offset, apex, bound)
                 )
-            if apex not in x.space.vertices:
+            if apex not in x.complex.vertices:
                 abstract += 1
     if abstract:
         notes.append(
@@ -289,7 +260,7 @@ def validate_stark_neighborhood(x: StarkComplex, nbhd: StarkNeighborhood) -> Sta
             findings.append("the interior of the base meets X_%d" % (k - 1))
     else:
         findings.append("the base is not a subcomplex of stratum %d" % k)
-    return StarkReport(not findings, tuple(findings), tuple(notes))
+    return FiltrationReport(not findings, tuple(findings), tuple(notes))
 
 
 def neighborhood_from_suspension(ball: Complex, susp: SuspensionData) -> StarkNeighborhood:
@@ -318,7 +289,7 @@ def inverse_neighborhood(nbhd: StarkNeighborhood, inner: BistellarMove) -> Stark
     return StarkNeighborhood(after, levels)
 
 
-def _vertex_strata(x: StarkComplex) -> dict:
+def _vertex_strata(x: FilteredComplex) -> dict:
     out = {}
     for l in range(x.n + 1):
         for v in x.strata[l].vertices:
@@ -326,7 +297,7 @@ def _vertex_strata(x: StarkComplex) -> dict:
     return out
 
 
-def _prepared(x: StarkComplex, nbhd: StarkNeighborhood, inner: BistellarMove):
+def _prepared(x: FilteredComplex, nbhd: StarkNeighborhood, inner: BistellarMove):
     """(obstruction, body_before): the full applicability check for a stark
     extended bistellar operation, with the cone extension of the current
     base on success."""
@@ -345,7 +316,7 @@ def _prepared(x: StarkComplex, nbhd: StarkNeighborhood, inner: BistellarMove):
         )
     if nbhd.base != join(simplex_complex(inner.a), simplex_boundary(inner.b)):
         return "the base is not the source ball A * dB of the move", None
-    if inner.b in x.space:
+    if inner.b in x.complex:
         return "co-simplex %s already present" % (inner.b,), None
     if set(inner.b) & set(nbhd.apexes):
         return "co-simplex %s collides with a neighborhood apex" % (inner.b,), None
@@ -356,9 +327,9 @@ def _prepared(x: StarkComplex, nbhd: StarkNeighborhood, inner: BistellarMove):
         if k and s in x.strata[k - 1]:
             return "interior simplex %s lies in X_%d" % (s, k - 1), None
     body_before = cone_extend(nbhd.base, nbhd)
-    space_facets = set(x.space.facets)
+    space_facets = set(x.complex.facets)
     for f in body_before.facets:
-        if f not in x.space:
+        if f not in x.complex:
             return (
                 "neighborhood cell %s is not triangulated in the complex"
                 " (subdivided or absent)" % (f,),
@@ -367,7 +338,7 @@ def _prepared(x: StarkComplex, nbhd: StarkNeighborhood, inner: BistellarMove):
         if f not in space_facets:
             return "neighborhood cell %s is not maximal in the complex" % (f,), None
     before_facets = set(body_before.facets)
-    for f in x.space.facets_containing(inner.a):
+    for f in x.complex.facets_containing(inner.a):
         if f not in before_facets:
             return (
                 "the star of %s reaches outside the stark neighborhood"
@@ -392,15 +363,15 @@ def _prepared(x: StarkComplex, nbhd: StarkNeighborhood, inner: BistellarMove):
     return None, body_before
 
 
-def stark_obstruction(x: StarkComplex, nbhd: StarkNeighborhood, inner: BistellarMove):
+def stark_obstruction(x: FilteredComplex, nbhd: StarkNeighborhood, inner: BistellarMove):
     """None when the stark extended bistellar operation applies, otherwise
     the first failed condition."""
     return _prepared(x, nbhd, inner)[0]
 
 
 def apply_stark_extended_bistellar(
-    x: StarkComplex, nbhd: StarkNeighborhood, inner: BistellarMove
-) -> StarkComplex:
+    x: FilteredComplex, nbhd: StarkNeighborhood, inner: BistellarMove
+) -> FilteredComplex:
     """Replace [A * dB] up N with [dA * B] up N.
 
     The replaced simplices are exactly those containing A and the inserted
@@ -428,7 +399,7 @@ def apply_stark_extended_bistellar(
         kept = [f for f in x.strata[l].facets if not aset <= set(f)]
         kept.extend(s for level, s in added if level <= l)
         new_strata.append(closure(kept))
-    return StarkComplex(tuple(new_strata))
+    return FilteredComplex(tuple(new_strata))
 
 
 @dataclass(frozen=True)
@@ -449,7 +420,7 @@ class StarkMove:
         return "stark %s over %d apexes" % (self.inner, len(self.neighborhood.apexes))
 
 
-def apply_stark_move(x: StarkComplex, move: StarkMove) -> StarkComplex:
+def apply_stark_move(x: FilteredComplex, move: StarkMove) -> FilteredComplex:
     return apply_stark_extended_bistellar(x, move.neighborhood, move.inner)
 
 

@@ -16,7 +16,10 @@ from plmoves import (
     DocumentError,
     ExtendedMove,
     FilteredComplex,
+    MoveRecord,
+    MoveSequence,
     SearchError,
+    StarkMove,
     apply_bistellar,
     apply_extended_bistellar,
     boundary_of_simplex,
@@ -28,14 +31,16 @@ from plmoves import (
     enumerate_moves,
     filtered_s2_equator,
     fresh_vertex,
+    neighborhood_from_suspension,
     parse_document,
     parse_sequence,
     random_extended_walk,
     random_walk,
+    replaced_ball,
     replay,
     to_complex,
 )
-from plmoves.demos import demo_document, torus7
+from plmoves.demos import demo_document, knot_model, torus7
 from support import run_cli
 
 
@@ -311,6 +316,40 @@ def test_apply_rejects_wrong_start(tmp_path):
     code, _, err = run_cli(["moves", "apply", "--input", other, "--sequence", cert_file])
     assert code == 1
     assert "error" in err
+
+
+def test_a_stark_certificate_replays_on_a_filtered_document(tmp_path):
+    # the stark move over the neighborhood of an iterated suspension is the
+    # extended move, and both kinds replay on the one stratified state
+    fc = filtered_s2_equator()
+    em = enumerate_extended_moves(fc)[0]
+    nbhd = neighborhood_from_suspension(replaced_ball(em.inner), em.suspension)
+    start = write(tmp_path, "start.json", demo_text("filtered-s2-equator"))
+    outs = []
+    for record in (
+        MoveRecord("extended", em),
+        MoveRecord("stark", StarkMove(nbhd, em.inner)),
+    ):
+        seq = MoveSequence.for_state(fc, [record])
+        cert = write(tmp_path, record.kind + ".json", emit_sequence(seq))
+        code, out, err = run_cli(["moves", "apply", "--input", start, "--sequence", cert])
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_apply_validates_the_stark_neighborhoods_of_its_input(tmp_path):
+    # a document's neighborhoods are outside input: moves apply checks them
+    # even though the state it replays on is the filtration alone
+    doc = json.loads(demo_text("knot-model"))
+    doc["stark_neighborhoods"][0]["levels"][0][0]["apex"] = 1
+    start = write(tmp_path, "knot.json", json.dumps(doc))
+    seq = MoveSequence.for_state(knot_model()[0], [])
+    cert = write(tmp_path, "cert.json", emit_sequence(seq))
+    code, out, err = run_cli(["moves", "apply", "--input", start, "--sequence", cert])
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: apex 1 lies in its own cell"
 
 
 def test_reduce_text_output():

@@ -76,7 +76,7 @@ def test_join_fan_scales_with_n():
     x1, nb1 = join_fan(1)
     x3, nb3 = join_fan(3)
     assert x1.n == 2 and x3.n == 2
-    assert len(x3.space.facets) == 3
+    assert len(x3.complex.facets) == 3
     # one main-edge neighborhood, two per side edge, one per top triangle
     assert len(nb1) == 1 + 2 * 1 + 1
     assert len(nb3) == 1 + 2 * 3 + 3
@@ -94,7 +94,7 @@ def test_demo_documents_parse_and_convert():
         assert parsed.metadata["demo"] == name
         if parsed.stark_neighborhoods:
             x, nbhds = to_stark(parsed)
-            assert x.space.dim == parsed.dimension
+            assert x.complex.dim == parsed.dimension
             assert nbhds
         elif parsed.strata:
             assert to_filtered(parsed).n == parsed.dimension

@@ -14,6 +14,7 @@ from plmoves import (
     star,
     suspension,
 )
+from plmoves import moves
 from plmoves.demos import (
     bipyramid,
     filtered_s2_equator,
@@ -106,6 +107,23 @@ def test_the_sphere_verdict_runs_the_rule_of_reduce():
             assert yes == reached, (seed, v)
             links += 1
     assert links == 78
+
+
+def test_the_boundary_of_a_simplex_needs_no_move_set(monkeypatch):
+    # d + 2 facets on d + 2 vertices already are the minimal sphere
+    builds = []
+    init = moves.MoveSet.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(moves.MoveSet, "__init__", counting)
+    for d in range(3, 6):
+        sphere = boundary_of_simplex(d)
+        assert check_combinatorial_manifold(sphere).verdict is Verdict.YES
+        assert sphere_or_ball_verdict(sphere, d - 1) == (Verdict.YES, "sphere")
+    assert not builds
 
 
 # Reports on walked spheres.  An "unknown" would be a vertex link that the

@@ -16,6 +16,7 @@ from plmoves import (
     MoveSequence,
     SearchBudget,
     SearchError,
+    StarkMove,
     apply_bistellar,
     boundary_of_simplex,
     canonical_facet_text,
@@ -25,9 +26,11 @@ from plmoves import (
     find_isomorphism,
     flip_search,
     fresh_vertex,
+    neighborhood_from_suspension,
     random_extended_walk,
     random_walk,
     reduce,
+    replaced_ball,
     replay,
     state_fingerprint,
     stellar_subdivide,
@@ -77,6 +80,20 @@ def test_replay_fails_at_the_first_illegal_step():
     )
     with pytest.raises(SearchError):
         replay(s2, seq)
+
+
+def test_a_certificate_may_mix_extended_and_stark_moves():
+    # the second extended move of each walk, recorded as the stark move over
+    # the neighborhood of its suspension, reaches the same state
+    for start in (filtered_s2_equator(), filtered_s3_equatorial_s2()):
+        for seed in range(3):
+            end, walk = random_extended_walk(start, 2, seed=seed)
+            first, second = walk.moves
+            em = second.move
+            nbhd = neighborhood_from_suspension(replaced_ball(em.inner), em.suspension)
+            stark = MoveRecord("stark", StarkMove(nbhd, em.inner))
+            mixed = MoveSequence.for_state(start, [first, stark])
+            assert replay(start, mixed) == end, seed
 
 
 def test_random_walk_is_deterministic_per_seed():

@@ -6,7 +6,7 @@ from plmoves import (
     EMPTY,
     BistellarMove,
     Complex,
-    StarkComplex,
+    FilteredComplex,
     StarkError,
     StarkMove,
     StarkNeighborhood,
@@ -29,15 +29,12 @@ from plmoves.demos import filtered_s2_equator, join_fan, knot_model
 from plmoves.moves import replaced_ball
 
 
-def test_stark_complex_wraps_a_filtration():
+def test_stark_complex_is_a_filtration():
     x, _ = knot_model()
+    assert isinstance(x, FilteredComplex)
     assert x.n == 3
-    assert x.space.dim == 3
-    assert len(x.space.facets) == 4
-    fc = x.as_filtered()
-    assert StarkComplex.from_filtered(fc) == x
-    with pytest.raises(StarkError, match="not contained"):
-        StarkComplex((Complex([(9,)]), Complex([(1, 2)]), Complex([(1, 2, 3)])))
+    assert x.complex.dim == 3
+    assert len(x.complex.facets) == 4
 
 
 def test_knot_model_validates():
@@ -70,12 +67,12 @@ def test_neighborhood_normalization_and_errors():
 def test_cone_extend_rebuilds_the_knot_ball():
     x, nbhds = knot_model()
     nb = nbhds[0]
-    assert cone_extend(nb.base, nb) == x.space
+    assert cone_extend(nb.base, nb) == x.complex
     # the extension is functorial in the base triangulation
     finer = stellar_subdivide(nb.base, (1, 2), new_vertex=9)
     extended = cone_extend(finer, nb)
     assert finer.is_subcomplex_of(extended)
-    assert extended.dim == x.space.dim
+    assert extended.dim == x.complex.dim
 
 
 def test_cone_extend_rejects_unresolvable_supports():
@@ -93,33 +90,30 @@ def test_cone_extend_rejects_unresolvable_supports():
 
 def test_stark_apply_matches_filtered_apply():
     fc = filtered_s2_equator()
-    x = StarkComplex.from_filtered(fc)
     for em in enumerate_extended_moves(fc):
         nbhd = neighborhood_from_suspension(replaced_ball(em.inner), em.suspension)
-        got = apply_stark_extended_bistellar(x, nbhd, em.inner)
+        got = apply_stark_extended_bistellar(fc, nbhd, em.inner)
         want = apply_extended_bistellar(fc, em)
         assert got.strata == want.strata
 
 
 def test_stark_obstruction_reports_before_apply():
     fc = filtered_s2_equator()
-    x = StarkComplex.from_filtered(fc)
     nbhd = StarkNeighborhood(Complex([(1, 2)]), (((6, {1, 2}), (7, {1, 2})),))
     inner = BistellarMove((1, 2), (8,))
-    assert stark_obstruction(x, nbhd, inner) is not None
+    assert stark_obstruction(fc, nbhd, inner) is not None
     with pytest.raises(StarkError, match="cannot apply"):
-        apply_stark_extended_bistellar(x, nbhd, inner)
+        apply_stark_extended_bistellar(fc, nbhd, inner)
 
 
 def test_stark_move_inverse_roundtrip():
     fc = filtered_s2_equator()
-    x = StarkComplex.from_filtered(fc)
     em = enumerate_extended_moves(fc)[0]
     nbhd = neighborhood_from_suspension(replaced_ball(em.inner), em.suspension)
     move = StarkMove(nbhd, em.inner)
-    there = apply_stark_move(x, move)
+    there = apply_stark_move(fc, move)
     back = apply_stark_move(there, move.inverse())
-    assert back == x
+    assert back == fc
     assert "stark" in str(move)
 
 
