@@ -174,6 +174,16 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+def _require_avoid(args, *complexes):
+    """Refuse a pure complex with boundary when --avoid is not given, in
+    words that name the option; the API's error speaks of an avoided
+    subcomplex that the command line never named."""
+    if not args.avoid and any(k.is_pure and k.boundary_complex for k in complexes):
+        raise MoveError(
+            "the complex has boundary; --avoid must name a subcomplex that contains it"
+        )
+
+
 def _cmd_moves_list(args) -> int:
     doc = _load_document(args.input)
     if args.extended:
@@ -185,6 +195,7 @@ def _cmd_moves_list(args) -> int:
     else:
         avoid = to_complex(_load_document(args.avoid)) if args.avoid else EMPTY
         k = to_complex(doc)
+        _require_avoid(args, k)
         records = [MoveRecord("bistellar", m) for m in enumerate_moves(k, avoid=avoid)]
     records.sort(key=_move_line)
     if args.format == "structured":
@@ -224,6 +235,7 @@ def _cmd_search(args) -> int:
     if euler_characteristic(k1) != euler_characteristic(k2):
         print("no sequence exists: the ends differ in Euler characteristic")
         return 1
+    _require_avoid(args, k1, k2)
     seq = flip_search(k1, k2, avoid=avoid, budget=_budget(args))
     if seq is None:
         print("not found within budget")

@@ -17,8 +17,9 @@ face set, face membership and the boundary are all read.  A checked move
 does not enumerate them again: ``apply_bistellar``, and
 ``apply_extended_bistellar`` on each stratum it rebuilds, hand the result a
 star index derived from the parent's, in which only the stars of the faces
-of the removed and inserted facets differ, and the parent's boundary as
-well.  Replaying a certificate enumerates the faces of its first state only.
+of the removed and inserted facets differ, the parent's boundary and
+dimension as well, and the vertices changed by those that came or went.
+Replaying a certificate enumerates the faces of its first state only.
 """
 
 from __future__ import annotations

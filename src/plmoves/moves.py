@@ -13,10 +13,15 @@ set is kept the same way.  :class:`MoveSet` reads the star index of a
 complex once and tests every face with its one candidate test; applying a
 move updates only the stars of the faces of the removed and added facets,
 and tests again those faces and the faces whose link is the boundary of a
-simplex that appeared or vanished.  ``enumerate_moves`` reads a fresh
+simplex that appeared or vanished.  It keeps its faces that have a move in
+order, sorted once on construction into one list and one list per face
+size, and moves a face in or out by bisection when the face gains or loses
+its move, so no step sorts anything.  ``enumerate_moves`` reads a fresh
 MoveSet once.  Random walks and ``greedy_reduction``, the one greedy
 reducer behind both ``reduce`` and the sphere verdict, follow one MoveSet
-through all their steps and do not verify each step;
+through all their steps and do not verify each step: a walk draws from the
+ordered faces, and a reduction step reads the size lists, since a move's
+``fsum_delta`` depends on |a| alone;
 ``flip_search`` gives each state a copy of its parent's MoveSet advanced by
 the one move that made it; its states are bare facet sets, and each
 successor is the state's facets minus that MoveSet's star of a plus the
@@ -24,18 +29,19 @@ inserted facets, unverified.  Replaying the certificate they return, which
 re-checks every precondition, is the check.
 
 A checked move builds its result once.  After its checks,
-``apply_bistellar`` hands the result two things the checks built on the
-parent: a star index derived from the parent's (``_derived``), and the
-parent's boundary, which a move at an interior face keeps;
-``apply_extended_bistellar`` does the same on each stratum it rebuilds.  So
-a replayed certificate builds the index and the boundary of its first state
-only.  ``MoveSet.apply`` and ``_derived`` update a star index through the one
-helper ``_replace_in_stars``.
+``apply_bistellar`` hands the result what the checks built on the parent:
+a star index, dimension and vertices derived from the parent's
+(``_derived``), and the parent's boundary, which a move at an interior face
+keeps; ``apply_extended_bistellar`` does the same on each stratum it
+rebuilds.  So a replayed certificate builds the index, the boundary and the
+vertices of its first state only.  ``MoveSet.apply`` and ``_derived`` update
+a star index through the one helper ``_replace_in_stars``.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .complexes import (
@@ -54,6 +60,9 @@ from .homology import minimal_sphere_f_vector
 
 class MoveError(ValueError):
     """A move was applied where its preconditions fail."""
+
+
+_NO_MOVE = object()  # the candidate test's answer for a face without a move
 
 
 def fsum_delta(a, b) -> int:
@@ -108,24 +117,32 @@ def _replace_in_stars(star: dict, gone, inserted):
 
 def _derived(k: Complex, a: Simplex, inserted) -> Complex:
     """The complex k with the facets of the star of a replaced by
-    ``inserted``, its star index derived from k's.
+    ``inserted``, its star index, dimension and vertices derived from k's.
 
-    The facets kept and inserted must be pairwise non-nested, as they are
-    after a checked move: the inserted facets all hold the co-simplex,
-    which k lacks, and a kept facet within an inserted one would be a
-    proper face of a facet of the star of a.  Purity is not needed.  Only
-    the stars of the faces of the removed and inserted facets change; a
-    star that gained a facet is sorted again, so every star is the sorted
-    tuple that ``Complex._star_index`` builds.
+    The facets kept and inserted must be pairwise non-nested, and the
+    inserted ones of k's dimension, as they are after a checked move: the
+    inserted facets all hold the co-simplex, which k lacks, and a kept facet
+    within an inserted one would be a proper face of a facet of the star of
+    a.  Purity is not needed.  Only the stars of the faces of the removed
+    and inserted facets change; a star that gained a facet is sorted again,
+    so every star is the sorted tuple that ``Complex._star_index`` builds.
+    The vertices that come or go are the one-vertex faces that appeared or
+    vanished.
     """
     star = dict(k._star_index)
     gone = star[a]
-    changed, _, _ = _replace_in_stars(star, gone, inserted)
+    changed, vanished, appeared = _replace_in_stars(star, gone, inserted)
     for s, fs in changed.items():
         if fs and len(star[s]) > 1:
             star[s] = tuple(sorted(star[s]))
+    vertices = k.vertices
+    lost = [s[0] for s in vanished if len(s) == 1]
+    new = [s[0] for s in appeared if len(s) == 1]
+    if lost or new:
+        vertices = vertices.difference(lost).union(new)
     out = Complex(k.facets.difference(gone).union(inserted), _trusted=True)
-    out.__dict__["_star_index"] = star  # the slot the cached property fills
+    # the slots the cached properties fill
+    out.__dict__.update(_star_index=star, dim=k.dim, vertices=vertices)
     return out
 
 
@@ -255,7 +272,8 @@ def inserted_ball(move: BistellarMove) -> Complex:
 
 
 class MoveSet:
-    """The moves of a pure complex, kept current as moves are applied.
+    """The moves of a pure complex, kept current, and in order, as moves are
+    applied.
 
     ``avoid`` and ``label_floor`` mean what they mean for
     :func:`enumerate_moves`, which validates the same way.  ``apply`` takes
@@ -264,6 +282,12 @@ class MoveSet:
     largest label follow every step, so facet subdivisions always carry the
     canonical fresh label of the current complex.  ``copy`` gives a move
     set of the same complex that moves on its own.
+
+    The faces that have a move are sorted once, on construction, into one
+    list and into one list per face size; the candidate test then inserts or
+    deletes a face by bisection when it gains or loses its move, and leaves
+    the lists alone when only its b changes.  So ``faces`` and ``moves()``
+    read the lexicographic order of a without sorting anything.
     """
 
     def __init__(self, k: Complex, avoid: Complex = EMPTY, label_floor: int = -1):
@@ -288,34 +312,52 @@ class MoveSet:
         self._waiting = {}  # b -> faces linked to b, tested again when b comes or goes
         for a in self._star:
             self._f[len(a) - 1] += 1
-            self._test(a)
+            b = self._candidate(a)
+            if b is not _NO_MOVE:
+                self._moves[a] = b
+        self._order = sorted(self._moves)  # the faces that have a move
+        self._sized = [[] for _ in range(self._size)]  # the same, by |a| - 1
+        for a in self._order:
+            self._sized[len(a) - 1].append(a)
 
-    def _test(self, a):
-        """The candidate test: is chi_(a, .) available at the face a?"""
+    def _candidate(self, a):
+        """The candidate test: the b of the move chi_(a, b) available at the
+        face a (None for a facet, which takes a fresh vertex), or _NO_MOVE."""
         b = self._linked.pop(a, None)
         if b is not None:
             waiting = self._waiting[b]
             waiting.discard(a)
             if not waiting:
                 del self._waiting[b]
-        self._moves.pop(a, None)
         fs = self._star.get(a)
         if fs is None or a in self._avoided:
-            return
+            return _NO_MOVE
         m = self._size - len(a)  # link facets have m vertices
         if m == 0:
-            self._moves[a] = None
-            return
+            return None
         if len(fs) != m + 1:
-            return
+            return _NO_MOVE
         rest = set().union(*fs).difference(a)
         if len(rest) != m + 1:
-            return
+            return _NO_MOVE
         b = tuple.__new__(Simplex, sorted(rest))
         self._linked[a] = b
         self._waiting.setdefault(b, set()).add(a)
-        if b not in self._star:
-            self._moves[a] = b
+        return _NO_MOVE if b in self._star else b
+
+    def _test(self, a):
+        """Test the face a again, and keep the ordered lists in step."""
+        b = self._candidate(a)
+        moves = self._moves
+        if b is _NO_MOVE:
+            if moves.pop(a, _NO_MOVE) is not _NO_MOVE:
+                for faces in (self._order, self._sized[len(a) - 1]):
+                    del faces[bisect_left(faces, a)]
+        else:
+            if a not in moves:
+                insort(self._order, a)
+                insort(self._sized[len(a) - 1], a)
+            moves[a] = b
 
     def copy(self) -> "MoveSet":
         """A move set of the same complex that moves on its own."""
@@ -324,6 +366,8 @@ class MoveSet:
         out._star = dict(self._star)
         out._f = list(self._f)
         out._moves = dict(self._moves)
+        out._order = list(self._order)
+        out._sized = [list(faces) for faces in self._sized]
         out._linked = dict(self._linked)
         out._waiting = {b: set(faces) for b, faces in self._waiting.items()}
         return out
@@ -336,10 +380,25 @@ class MoveSet:
         """The facets of the current complex that hold the face a."""
         return self._star[a]
 
+    def faces(self, size: int | None = None) -> list[Simplex]:
+        """The faces a that have a move, in lexicographic order; with
+        ``size``, those with that many vertices only.  The list is the move
+        set's own, valid until the next ``apply``: the i-th face is the a of
+        the i-th entry of ``moves()``."""
+        return self._order if size is None else self._sized[size - 1]
+
+    def move_at(self, a: Simplex) -> tuple[Simplex, Simplex]:
+        """The move (a, b) available at a face a from ``faces``."""
+        b = self._moves[a]
+        if b is None:
+            b = tuple.__new__(Simplex, (max(self._top, self._floor) + 1,))
+        return a, b
+
     def moves(self) -> list[tuple[Simplex, Simplex]]:
         """The available moves (a, b), in lexicographic order of a."""
         fresh = tuple.__new__(Simplex, (max(self._top, self._floor) + 1,))
-        return [(a, fresh if b is None else b) for a, b in sorted(self._moves.items())]
+        moves = self._moves
+        return [(a, fresh if (b := moves[a]) is None else b) for a in self._order]
 
     def apply(self, a: Simplex, b: Simplex):
         """Apply chi_(a, b), a move returned by ``moves()``."""
@@ -380,12 +439,19 @@ def greedy_reduction(
     or after ``move_budget`` moves.  ``reduce`` records the moves as a
     certificate; the sphere verdict asks only whether the target was reached.
 
+    Since |a| + |b| = d + 2, a move's change of the simplex count,
+    2^|a| - 2^|b|, grows with |a| alone.  So a step reads the move set's
+    faces by size: the best moves are the faces of the least size that has
+    any, the first of them is the least a, and a sideways or uphill step
+    draws from that same list.
+
     >>> from .demos import bipyramid
     >>> ms = MoveSet(bipyramid())
     >>> len(greedy_reduction(ms)), ms.f_vector
     (1, (4, 6, 4))
     """
-    minimal = minimal_sphere_f_vector(ms._size - 1)
+    size = ms._size
+    minimal = minimal_sphere_f_vector(size - 1)
     rng = random.Random(seed)
     applied = []
     high = sum(ms.f_vector)
@@ -393,24 +459,21 @@ def greedy_reduction(
     while len(applied) < move_budget:
         if ms.f_vector == minimal:
             break
-        moves = ms.moves()
-        if not moves:
+        least = next((n for n in range(1, size + 1) if ms.faces(n)), None)
+        if least is None:
             break
-        deltas = [fsum_delta(a, b) for a, b in moves]
-        best = min(deltas)
-        if best < 0:
-            a, b = moves[deltas.index(best)]  # the least a among the best
+        faces = ms.faces(least)
+        step = (1 << least) - (1 << (size + 1 - least))  # fsum_delta of each
+        if step < 0:
+            a = faces[0]
         else:
             if sideways_left <= 0:
                 break
-            step = 0
-            if 0 not in deltas:
-                allowance = high + relax - sum(ms.f_vector)
-                step = min((d for d in deltas if 0 < d <= allowance), default=None)
-                if step is None:
-                    break
-            a, b = rng.choice([m for m, d in zip(moves, deltas) if d == step])
+            if step > 0 and step > high + relax - sum(ms.f_vector):
+                break
+            a = rng.choice(faces)
             sideways_left -= 1
+        a, b = ms.move_at(a)
         ms.apply(a, b)
         applied.append((a, b))
         high = max(high, sum(ms.f_vector))

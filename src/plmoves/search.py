@@ -391,17 +391,26 @@ def random_walk(
     """A recorded random walk in the flip graph; uniform over the moves
     available at each step, deterministic for a fixed seed.  The steps
     follow one incremental move set and are not verified one by one:
-    replaying the certificate is the check."""
+    replaying the certificate is the check.  Each step draws a face from
+    the move set's ordered faces, the same draw as from ``moves()``, and
+    reads the move there.
+
+    >>> from .complexes import boundary_of_simplex
+    >>> s3 = boundary_of_simplex(4)
+    >>> end, seq = random_walk(s3, 10, seed=1)
+    >>> len(seq), f_vector(end), replay(s3, seq) == end
+    (10, (13, 42, 58, 29), True)
+    """
     if steps <= 0:
         return k, MoveSequence.for_state(k, [])
     rng = random.Random(seed)
     records = []
     ms = MoveSet(k, avoid, label_floor)
     for _ in range(steps):
-        moves = ms.moves()
-        if not moves:
+        faces = ms.faces()
+        if not faces:
             break
-        a, b = rng.choice(moves)
+        a, b = ms.move_at(rng.choice(faces))
         ms.apply(a, b)
         records.append(MoveRecord("bistellar", BistellarMove(a, b)))
     return ms.complex(), MoveSequence.for_state(k, records)
@@ -439,6 +448,12 @@ def reduce(
     the simplex-count high-water mark.  Like random_walk it follows one
     incremental move set without verifying each step; the certificate
     always replays.  A complex with boundary is refused with a SearchError.
+
+    >>> from .complexes import boundary_of_simplex
+    >>> walked, _ = random_walk(boundary_of_simplex(4), 10, seed=1)
+    >>> end, seq = reduce(walked)
+    >>> len(seq), f_vector(end), replay(walked, seq) == end
+    (8, (5, 10, 10, 5), True)
     """
     if move_budget <= 0 or f_vector(k) == minimal_sphere_f_vector(k.dim):
         return k, MoveSequence.for_state(k, [])

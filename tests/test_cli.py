@@ -248,6 +248,27 @@ def test_moves_list_avoid(tmp_path):
     assert "boundary" in err
 
 
+_DISK = json.dumps({"dimension": 2, "facets": [[i, i % 6 + 1, 7] for i in range(1, 7)]})
+_NO_AVOID = "error: the complex has boundary; --avoid must name a subcomplex that contains it\n"
+
+
+def test_moves_list_names_the_missing_avoid_option():
+    code, out, err = run_cli(["moves", "list", "--input", "-"], stdin=_DISK)
+    assert (code, out, err) == (1, "", _NO_AVOID)
+
+
+def test_search_names_the_missing_avoid_option(tmp_path):
+    start = write(tmp_path, "disk.json", _DISK)
+    code, out, err = run_cli(["search", "--input", start, "--target", start])
+    assert (code, out, err) == (1, "", _NO_AVOID)
+    # a closed start does not excuse a target with boundary
+    ball = json.dumps({"dimension": 2, "facets": [[1, 2, 3]]})
+    rp2 = write(tmp_path, "rp2.json", demo_text("rp2-6"))
+    target = write(tmp_path, "ball.json", ball)
+    code, out, err = run_cli(["search", "--input", rp2, "--target", target])
+    assert (code, out, err) == (1, "", _NO_AVOID)
+
+
 def test_search_apply_pipeline(tmp_path):
     start = write(tmp_path, "start.json", demo_text("bipyramid"))
     target = write(tmp_path, "target.json", demo_text("sphere-boundary", n=2))

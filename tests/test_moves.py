@@ -274,10 +274,13 @@ def test_the_standalone_scan_lists_what_a_move_set_does():
 
 
 def _assert_derived_index(k):
-    # the move handed over its star index, and it is the one a fresh build
-    # gives, down to the order of the facets within each star
-    assert "_star_index" in k.__dict__
-    assert k._star_index == Complex(k.facets, _trusted=True)._star_index
+    # the move handed over its star index, dimension and vertices, and they
+    # are the ones a fresh build gives, the index down to the order of the
+    # facets within each star
+    fresh = Complex(k.facets, _trusted=True)
+    for name in ("_star_index", "dim", "vertices"):
+        assert name in k.__dict__
+        assert getattr(k, name) == getattr(fresh, name)
 
 
 @pytest.mark.parametrize("name", ["disk", "rp2_6", "s2", "s3", "s4", "torus7"])
@@ -374,9 +377,11 @@ def test_non_pure_complexes_derive_their_star_index_too():
 
 
 def _listing(ms):
-    """What a move set says of its complex: the moves, the f-vector and the
-    stars, as sets since a derived star keeps its own order."""
-    return ms.moves(), ms.f_vector, {s: set(fs) for s, fs in ms._star.items()}
+    """What a move set says of its complex: the moves, the faces by size, the
+    f-vector and the stars, as sets since a derived star keeps its own
+    order."""
+    sized = [ms.faces(size) for size in range(1, ms._size + 1)]
+    return ms.moves(), sized, ms.f_vector, {s: set(fs) for s, fs in ms._star.items()}
 
 
 @pytest.mark.parametrize("name", sorted(_moveset_starts()))

@@ -270,13 +270,18 @@ def _output_digest(seq, end):
 # searches: before the search stopped verifying each edge; the two long S3
 # searches: before each state's move set was derived from its parent's;
 # the floored searches and the alignments: before search states became
-# bare facet sets); any change to move order, labels or tie-breaking shows
-# up here.
+# bare facet sets; the 300-step S3 walk and the larger reductions: before
+# move sets kept their moves in order); any change to move order, labels or
+# tie-breaking shows up here.
 OUTPUT_DIGESTS = {
     "walk_s3": "e80149ec1f8a9ad92f09a047a3fbb14ff86726dc9af6007beebbab4d488d8074",
     "walk_torus7": "90beb82bd64bb766878241894576c2733cf2772e228db262a649dda81b6618af",
     "walk_disk": "c064c3d5e14026c428f2c5744128314b0ca54ce442d03506c0b134838894fff5",
     "reduce_s3": "003ba41ee5fb898414c9de7b7bd749aaaad4aa0d36075c13f8e32f33a18ed255",
+    "walk_s3_300": "b193fbb8ff5046718365d757800451719a591630b74a513f883c594c097e8b80",
+    "reduce_s3_300": "965059112dc691d8a81692965d52f1355c68c3ae46bd155da6e3e22b2b23178a",
+    "reduce_s3_100_9": "30501e40116f501163d184fd021d4d6e75a6a3a51919aaaf384fd886506ad8f5",
+    "reduce_s4_60": "5dfa78aea82f5269153531a14972860c6a142a60c268a9f7cb20f99616dd8c3c",
     "search_s2": "93bb0abe3a7412af0b3ca8f8d54f88b29ba046c5d5c4046da63223fffffe1f04",
     "search_s3": "68853a14804a8baf2abca02ac5800142cecd796cf306094823e036b14bd58b78",
     "search_torus7": "f7224e62fadc3ecb1797b343f725c700871ca4dbbf6a9c3f2d6cc70644987cdc",
@@ -299,6 +304,21 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
     assert replay(s3, walk_seq) == walked
     red, red_seq = reduce(walked)
     assert replay(walked, red_seq) == red
+    # larger reductions, one for each plateau path: S3 at seed 1 goes
+    # downhill only; S3 at seed 9 climbs within its allowance, as S3 has no
+    # zero-delta move; S4 at seed 0 takes a zero-delta sideways step
+    long_walk, long_walk_seq = random_walk(s3, 300, seed=1)
+    s4 = boundary_of_simplex(5)
+    reductions = {}
+    for name, start, length in (
+        ("reduce_s3_300", long_walk, 218),
+        ("reduce_s3_100_9", random_walk(s3, 100, seed=9)[0], 86),
+        ("reduce_s4_60", random_walk(s4, 60, seed=0)[0], 50),
+    ):
+        end, seq = reduce(start)
+        assert len(seq) == length
+        assert f_vector(end) == f_vector(s3 if start.dim == 3 else s4)
+        reductions[name] = _output_digest(seq, end)
     torus_end, torus_seq = random_walk(torus7(), 30, seed=12)
     disk = hexagon_disk()
     disk_end, disk_seq = random_walk(disk, 30, seed=13, avoid=disk.boundary_complex)
@@ -345,6 +365,8 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
         "walk_torus7": _output_digest(torus_seq, torus_end),
         "walk_disk": _output_digest(disk_seq, disk_end),
         "reduce_s3": _output_digest(red_seq, red),
+        "walk_s3_300": _output_digest(long_walk_seq, long_walk),
+        **reductions,
         "search_s2": _output_digest(s2_seq, replay(s2, s2_seq)),
         "search_s3": _output_digest(s3_seq, replay(s3, s3_seq)),
         "search_torus7": _output_digest(torus_search, replay(torus7(), torus_search)),
