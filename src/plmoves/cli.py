@@ -268,11 +268,15 @@ def _cmd_reduce(args) -> int:
             }
         )
     print("reduced from f = %s to f = %s in %d moves" % (f_vector(k), f_vector(reduced), len(seq)))
-    print(
-        "boundary-simplex f-vector reached"
-        if reached
-        else "budget exhausted before the boundary-simplex f-vector"
-    )
+    if reached:
+        print("boundary-simplex f-vector reached")
+    elif len(seq) == args.moves:
+        print("move budget of %d used up before the boundary-simplex f-vector" % args.moves)
+    else:
+        print(
+            "stalled after %d moves before the boundary-simplex f-vector: "
+            "no move within the plateau allowance" % len(seq)
+        )
     for record in seq:
         print(_move_line(record))
     return 0

@@ -19,7 +19,7 @@ says so rather than pretending to check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .complexes import (
     EMPTY,
@@ -32,7 +32,6 @@ from .complexes import (
     link,
     product_with_interval,
     simplex_boundary,
-    simplex_complex,
 )
 from .manifold import Verdict, check_combinatorial_manifold
 from .moves import BistellarMove, MoveError, _derived, enumerate_moves
@@ -267,18 +266,32 @@ def apply_extended_bistellar(fc: FilteredComplex, move: ExtendedMove) -> Filtere
     every stratum from the move's own upward.  Restriction to M_k is the
     plain bistellar move; lower strata are untouched.  Each rebuilt stratum
     is handed its parent's boundary, which it keeps: the replaced and the
-    inserted ball share their frontier boundary(a) * boundary(b) * P_l."""
+    inserted ball share their frontier boundary(a) * boundary(b) * P_l.
+    Each rebuilt stratum derives its star index from its parent's, one facet
+    p of P_l at a time, through the star update of a plain move.
+
+    >>> from .demos import filtered_s2_equator
+    >>> from .homology import f_vector
+    >>> fc = filtered_s2_equator()
+    >>> move = enumerate_extended_moves(fc)[0]
+    >>> print(move)
+    extended[1] chi([1, 2], [6]) via [(4, 5)]
+    >>> out = apply_extended_bistellar(fc, move)
+    >>> [f_vector(m) for m in fc.strata[1:]], [f_vector(m) for m in out.strata[1:]]
+    ([(3, 3), (5, 9, 6)], [(4, 4), (6, 12, 8)])
+    >>> apply_extended_bistellar(out, move.inverse()) == fc
+    True
+    """
     problem = extended_applicable(fc, move)
     if problem is not None:
         raise MoveError("cannot apply %s: %s" % (move, problem))
     k = move.stratum
-    inner = move.inner
-    a = inner.a
-    after_core = join(simplex_boundary(a), simplex_complex(inner.b))
+    a, b = move.inner.a, move.inner.b
     new_strata = list(fc.strata[:k])
     for level in range(k, fc.n + 1):
-        body = join(after_core, move.suspension.pair_complex_through(level))
-        out = _derived(fc.strata[level], a, body.facets)
+        # the facets p of P_level, one apex of each pair
+        apexes = product(*move.suspension.apexes[: level - k])
+        out = _derived(fc.strata[level], a, b, apexes)
         out.__dict__["boundary_complex"] = fc.strata[level].boundary_complex
         new_strata.append(out)
     return FilteredComplex(tuple(new_strata))

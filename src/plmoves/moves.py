@@ -11,17 +11,18 @@ applying one after the other restores the facet set exactly.
 A move changes only the closed star of A (Pachner's locality), and the move
 set is kept the same way.  :class:`MoveSet` reads the star index of a
 complex once and tests every face with its one candidate test; applying a
-move updates only the stars of the faces of the removed and added facets,
-and tests again those faces and the faces whose link is the boundary of a
-simplex that appeared or vanished.  It keeps its faces that have a move in
-order, sorted once on construction into one list and one list per face
-size, and moves a face in or out by bisection when the face gains or loses
-its move, so no step sorts anything.  ``enumerate_moves`` reads a fresh
-MoveSet once.  Random walks and ``greedy_reduction``, the one greedy
+move updates only the stars of the proper faces of A + B, the faces of the
+removed and added facets, and tests again those faces and the faces whose
+link is the boundary of a simplex that appeared or vanished.  It keeps its
+faces that have a move in order, sorted once on construction into one list
+and one list per face size, and moves a face in or out by bisection when
+the face gains or loses its move, so no step sorts anything.
+``enumerate_moves`` reads a fresh MoveSet once.  Random walks and ``greedy_reduction``, the one greedy
 reducer behind both ``reduce`` and the sphere verdict, follow one MoveSet
 through all their steps and do not verify each step: a walk draws from the
 ordered faces, and a reduction step reads the size lists, since a move's
-``fsum_delta`` depends on |a| alone;
+``fsum_delta`` depends on |a| alone.  Both end in ``MoveSet.complex()``,
+which hands its complex the move set's star index, dimension and vertices;
 ``flip_search`` gives each state a copy of its parent's MoveSet advanced by
 the one move that made it; its states are bare facet sets, and each
 successor is the state's facets minus that MoveSet's star of a plus the
@@ -34,8 +35,10 @@ a star index, dimension and vertices derived from the parent's
 (``_derived``), and the parent's boundary, which a move at an interior face
 keeps; ``apply_extended_bistellar`` does the same on each stratum it
 rebuilds.  So a replayed certificate builds the index, the boundary and the
-vertices of its first state only.  ``MoveSet.apply`` and ``_derived`` update
-a star index through the one helper ``_replace_in_stars``.
+vertices of its first state only.  ``MoveSet.apply`` and ``_derived``, and
+so every plain and extended checked move, update a star index through the
+one kernel ``_move_stars``: one pass over the faces of A + B, read against
+a table of the positions each face misses, cached per size of A + B.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain, combinations
 
 from .complexes import (
     EMPTY,
@@ -79,59 +84,113 @@ def _inserted_facets(a: Simplex, b: Simplex) -> list[Simplex]:
     return [tuple.__new__(Simplex, [v for v in ab if v != x]) for x in a]
 
 
-def _replace_in_stars(star: dict, gone, inserted):
-    """Update the star index ``star`` (face -> tuple of facets) in place for
-    the facets ``gone`` replaced by ``inserted``: drop the gone facets from
-    the stars of their faces, deleting a face whose star empties, and
-    append the inserted facets.
+@cache
+def _missed(n: int) -> tuple:
+    """For each face of ``combinations(range(n), r)``, 0 < r < n, in that
+    order, the bits of the positions it misses."""
+    full = (1 << n) - 1
+    return tuple(
+        full ^ sum(1 << i for i in face)
+        for r in range(1, n)
+        for face in combinations(range(n), r)
+    )
 
-    Returns a dict from each face of a gone or inserted facet to the
-    inserted facets holding it, then the faces that vanished and those that
-    appeared.  A star keeps its order, with the inserted facets after it.
+
+def _move_stars(star: dict, gone, a: Simplex, b: Simplex, p: tuple = ()):
+    """Update the star index ``star`` (face -> tuple of facets) in place for
+    chi_(a, b), suspended by the apexes ``p`` when they are given.
+
+    With u = a + b + p, the move removes the facets u - y, y in b, and
+    inserts u - x, x in a; ``gone`` holds at least the removed ones, and no
+    facet that stays.  So only the proper faces of u change their stars,
+    and those that hold all of a and b are no faces of either.  One pass
+    over the faces of u reads, from the positions each face misses (a table
+    cached per size of u), the inserted facets that hold it and whether it
+    vanishes (it holds a) or appears (it holds b).  A suspended move sees
+    only part of a face's star, so there a face that holds a or b is told by
+    the index.
+
+    Returns a dict from each face to the inserted facets holding it, then
+    the faces that vanished and those that appeared.  A star keeps its
+    order, with the inserted facets after it.
     """
+    u = sorted(a + b + p)
+    in_a = in_b = 0  # the positions of a and of b in u, as bits
+    # held[m], for positions m of a: the inserted facets u - u[i], i in m,
+    # which are those that hold a face missing the positions m of a
+    held = [()] * (1 << len(u))
+    masks = [0]
+    for i, v in enumerate(u):
+        if v in a:
+            f = tuple.__new__(Simplex, [w for w in u if w != v])
+            for m in masks[:]:
+                held[m | 1 << i] = held[m] + (f,)
+                masks.append(m | 1 << i)
+            in_a |= 1 << i
+        elif v in b:
+            in_b |= 1 << i
+    faces = chain.from_iterable(combinations(u, r) for r in range(1, len(u)))
     changed = {}
-    for facet in inserted:
-        for s in facet.subsimplices():
-            changed.setdefault(s, []).append(facet)
-    for facet in gone:
-        for s in facet.subsimplices():
-            changed.setdefault(s, [])
-    gone = set(gone)
     vanished = []
     appeared = []
-    for s, fs in changed.items():
-        old = star.get(s)
-        if old is None:
-            star[s] = tuple(fs)
+    for c, missed in zip(faces, _missed(len(u))):
+        fs = held[missed & in_a]
+        if fs and missed & in_b:  # it holds neither a nor b, and stays
+            s = tuple.__new__(Simplex, c)
+            star[c] = tuple([g for g in star[c] if g not in gone]) + fs
+        elif p:
+            if not (fs or missed & in_b):
+                continue  # it holds a and b
+            s = tuple.__new__(Simplex, c)
+            old = star.get(c)
+            if old is None:
+                if not fs:
+                    continue  # it vanished under another apex facet
+                star[s] = fs
+                appeared.append(s)
+            else:
+                kept = tuple([g for g in old if g not in gone]) + fs
+                if kept:
+                    star[c] = kept
+                else:
+                    del star[c]
+                    vanished.append(s)
+        elif fs:  # it holds b
+            s = tuple.__new__(Simplex, c)
+            star[s] = fs
             appeared.append(s)
-            continue
-        kept = [g for g in old if g not in gone]
-        kept.extend(fs)
-        if kept:
-            star[s] = tuple(kept)
-        else:
-            del star[s]
+        else:  # it holds a
+            s = tuple.__new__(Simplex, c)
+            del star[c]
             vanished.append(s)
+        changed[s] = fs
     return changed, vanished, appeared
 
 
-def _derived(k: Complex, a: Simplex, inserted) -> Complex:
-    """The complex k with the facets of the star of a replaced by
-    ``inserted``, its star index, dimension and vertices derived from k's.
+def _derived(k: Complex, a: Simplex, b: Simplex, apexes=((),)) -> Complex:
+    """The complex k after chi_(a, b), suspended over each apex facet p of
+    ``apexes`` in turn, its star index, dimension and vertices derived from
+    k's.
 
-    The facets kept and inserted must be pairwise non-nested, and the
-    inserted ones of k's dimension, as they are after a checked move: the
-    inserted facets all hold the co-simplex, which k lacks, and a kept facet
-    within an inserted one would be a proper face of a facet of the star of
-    a.  Purity is not needed.  Only the stars of the faces of the removed
-    and inserted facets change; a star that gained a facet is sorted again,
-    so every star is the sorted tuple that ``Complex._star_index`` builds.
-    The vertices that come or go are the one-vertex faces that appeared or
+    The move must be a checked one, at a face whose star is that of the
+    move: then the inserted facets all hold b, which k lacks, and none of
+    them is nested with a facet that stays.  Purity is not needed.  Only
+    the stars of the faces of the removed and inserted facets change
+    (``_move_stars``); a star that gained a facet is sorted again, so every
+    star is the sorted tuple that ``Complex._star_index`` builds.  The
+    vertices that come or go are the one-vertex faces that appeared or
     vanished.
     """
     star = dict(k._star_index)
     gone = star[a]
-    changed, vanished, appeared = _replace_in_stars(star, gone, inserted)
+    changed = {}
+    vanished = []
+    appeared = []
+    for p in apexes:
+        update = _move_stars(star, gone, a, b, p)
+        changed.update(update[0])
+        vanished += update[1]
+        appeared += update[2]
     for s, fs in changed.items():
         if fs and len(star[s]) > 1:
             star[s] = tuple(sorted(star[s]))
@@ -140,7 +199,7 @@ def _derived(k: Complex, a: Simplex, inserted) -> Complex:
     new = [s[0] for s in appeared if len(s) == 1]
     if lost or new:
         vertices = vertices.difference(lost).union(new)
-    out = Complex(k.facets.difference(gone).union(inserted), _trusted=True)
+    out = Complex(k.facets.difference(gone).union(star[b]), _trusted=True)
     # the slots the cached properties fill
     out.__dict__.update(_star_index=star, dim=k.dim, vertices=vertices)
     return out
@@ -249,7 +308,7 @@ def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
             raise MoveError(
                 "cannot apply %s: link of %s is the boundary of %s" % (move, a, expected)
             )
-    out = _derived(k, a, _inserted_facets(a, b))
+    out = _derived(k, a, b)
     # the boundary ridges are those in one top facet; the move keeps each
     # frontier ridge in one removed and one inserted facet, and puts the
     # ridges through a or b in two facets or in none, so the boundary stays
@@ -404,9 +463,7 @@ class MoveSet:
         """Apply chi_(a, b), a move returned by ``moves()``."""
         star = self._star
         f = self._f
-        changed, vanished, appeared = _replace_in_stars(
-            star, star[a], _inserted_facets(a, b)
-        )
+        changed, vanished, appeared = _move_stars(star, star[a], a, b)
         touched = set(changed)
         for s in vanished:
             f[len(s) - 1] -= 1
@@ -422,8 +479,14 @@ class MoveSet:
             self._test(s)
 
     def complex(self) -> Complex:
-        """The current complex."""
-        return Complex([s for s in self._star if len(s) == self._size], _trusted=True)
+        """The current complex, handed the star index, with each star sorted
+        as ``Complex._star_index`` sorts it, its dimension and its vertices,
+        so a reader of a walked or reduced complex builds none of them."""
+        star = {s: fs if len(fs) == 1 else tuple(sorted(fs)) for s, fs in self._star.items()}
+        out = Complex([s for s in star if len(s) == self._size], _trusted=True)
+        vertices = frozenset([s[0] for s in star if len(s) == 1])
+        out.__dict__.update(_star_index=star, dim=self._size - 1, vertices=vertices)
+        return out
 
 
 def greedy_reduction(

@@ -393,6 +393,35 @@ def test_reduce_structured():
     assert data["result"]["facets"] == [[1, 2, 3], [1, 2, 5], [1, 3, 5], [2, 3, 5]]
 
 
+def test_reduce_says_when_it_stalls():
+    # the neighbourly torus has no flip, and each subdivision climbs beyond
+    # the plateau allowance, so not one move of the budget is spent
+    code, out, _ = run_cli(["reduce", "--input", "-"], stdin=demo_text("torus7"))
+    assert code == 0
+    assert out.splitlines() == [
+        "reduced from f = (7, 21, 14) to f = (7, 21, 14) in 0 moves",
+        "stalled after 0 moves before the boundary-simplex f-vector: "
+        "no move within the plateau allowance",
+    ]
+
+
+def test_reduce_says_when_its_budget_is_used_up():
+    walked, _ = random_walk(boundary_of_simplex(4), 10, seed=1)
+    doc = emit_document(document_for_complex(walked))
+    code, out, _ = run_cli(["reduce", "--input", "-", "--moves", "1"], stdin=doc)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "move budget of 1 used up before the boundary-simplex f-vector"
+    assert len(lines) == 3 and lines[2].startswith("bistellar ")
+    # the structured report is as before: the reached flag and the moves
+    code, out, _ = run_cli(
+        ["reduce", "--input", "-", "--moves", "1", "--format", "structured"], stdin=doc
+    )
+    data = json.loads(out)
+    assert code == 0 and data["reached_boundary_simplex_f_vector"] is False
+    assert len(data["certificate"]["moves"]) == 1
+
+
 def test_reduce_refuses_a_complex_with_boundary():
     disk = json.dumps(
         {"dimension": 2, "facets": [[i, i % 6 + 1, 7] for i in range(1, 7)]}

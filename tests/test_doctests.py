@@ -10,7 +10,9 @@ import pytest
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
-@pytest.mark.parametrize("name", ["complexes", "homology", "manifold", "moves", "search", "stark"])
+@pytest.mark.parametrize(
+    "name", ["complexes", "filtration", "homology", "manifold", "moves", "search", "stark"]
+)
 def test_module_examples_pass(name):
     result = doctest.testmod(importlib.import_module("plmoves." + name))
     assert result.attempted and not result.failed, result

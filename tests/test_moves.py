@@ -28,6 +28,7 @@ from plmoves import (
     inverse_move,
     random_extended_walk,
     random_walk,
+    reduce,
     replaced_ball,
     stellar_subdivide,
 )
@@ -296,6 +297,23 @@ def test_checked_moves_derive_the_star_index_of_a_fresh_build(name, seed, steps)
     for record in walk:
         state = apply_bistellar(state, record.move)
         _assert_derived_index(state)
+
+
+@pytest.mark.parametrize("name", sorted(_moveset_starts()))
+@settings(max_examples=5)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    steps=st.integers(min_value=1, max_value=40),
+)
+def test_walks_and_reductions_hand_their_star_index_over(name, seed, steps):
+    # a walk and a reduction end in their move set's complex, which is
+    # handed the move set's star index, sorted, its dimension and vertices
+    k, avoid, floor = _moveset_starts()[name]
+    walked, _ = random_walk(k, steps, seed=seed, avoid=avoid, label_floor=floor)
+    _assert_derived_index(walked)
+    if not avoid:
+        reduced, _ = reduce(walked, seed=seed)
+        _assert_derived_index(reduced)
 
 
 @pytest.mark.parametrize("name", ["disk", "rp2_6", "s2", "s3", "s4", "torus7"])

@@ -253,16 +253,20 @@ def test_move_sequence_iterates_records():
     assert kinds == ["bistellar"] * 3
 
 
+def _digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode("ascii"))
+        h.update(b"\0")
+    return h.hexdigest()
+
+
 def _output_digest(seq, end):
     if isinstance(end, Complex):
         text = canonical_facet_text(end)
     else:
         text = "|".join(canonical_facet_text(m) for m in end.strata)
-    h = hashlib.sha256()
-    for part in (emit_sequence(seq), text):
-        h.update(part.encode("ascii"))
-        h.update(b"\0")
-    return h.hexdigest()
+    return _digest(emit_sequence(seq), text)
 
 
 # Certificates and end complexes of fixed seeds, recorded before simplices
@@ -271,8 +275,9 @@ def _output_digest(seq, end):
 # searches: before each state's move set was derived from its parent's;
 # the floored searches and the alignments: before search states became
 # bare facet sets; the 300-step S3 walk and the larger reductions: before
-# move sets kept their moves in order); any change to move order, labels or
-# tie-breaking shows up here.
+# move sets kept their moves in order; the extended walks: before every
+# star update walked the faces of a u b once); any change to move order,
+# labels or tie-breaking shows up here.
 OUTPUT_DIGESTS = {
     "walk_s3": "e80149ec1f8a9ad92f09a047a3fbb14ff86726dc9af6007beebbab4d488d8074",
     "walk_torus7": "90beb82bd64bb766878241894576c2733cf2772e228db262a649dda81b6618af",
@@ -294,6 +299,8 @@ OUTPUT_DIGESTS = {
     "align_s2_equator_4": "ca43b34aca7c0dacc939be89d68a6e539eb3b9cd098ab3779a4d54d7445cfd90",
     "align_s3_equatorial_s2_1": "290b8a67c68ce473d92049c1a0642e1747e80f9776b0382ea98589e22be1741c",
     "align_s3_equatorial_s2_5": "0622dfed1876aa7bf9ffe37da005c764e0a852d5883821855a6a8c7418df5281",
+    "walk_filtered_s2_30": "631b256501e7a7b54d8afffb742720d53b0a9f8a515df8b4f75e2721462d2986",
+    "walk_filtered_s3_30": "8d48f173841f51357e9a3742a9a035314fbeb95234dbee2afb04780865ebcb7e",
 }
 
 
@@ -360,6 +367,15 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
         end, _ = random_extended_walk(fc, 3, seed=seed)
         seq = stratified_align(fc, end)
         aligned["%s_%d" % (name, seed)] = _output_digest(seq, replay(fc, seq))
+    # extended walks pin the suspended moves beyond the alignments: the
+    # certificate and the fingerprint of its replayed end
+    extended = {}
+    for name, fc in (
+        ("walk_filtered_s2_30", filtered_s2_equator()),
+        ("walk_filtered_s3_30", filtered_s3_equatorial_s2()),
+    ):
+        _, seq = random_extended_walk(fc, 30, seed=0)
+        extended[name] = _digest(emit_sequence(seq), state_fingerprint(replay(fc, seq)))
     got = {
         "walk_s3": _output_digest(walk_seq, walked),
         "walk_torus7": _output_digest(torus_seq, torus_end),
@@ -374,6 +390,7 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
         **long_s3,
         **floored,
         **aligned,
+        **extended,
     }
     assert got == OUTPUT_DIGESTS
 
