@@ -200,21 +200,22 @@ def _facets_json(facets: Facets):
     return [list(f) for f in facets]
 
 
+def _neighborhood_json(nb: NeighborhoodDocument) -> dict:
+    return {
+        "base_facets": _facets_json(nb.base_facets),
+        "levels": [
+            [{"apex": apex, "L_facets": _facets_json(lf)} for apex, lf in lvl]
+            for lvl in nb.levels
+        ],
+    }
+
+
 def document_to_json(doc: ComplexDocument) -> dict:
     out = {"dimension": doc.dimension, "facets": _facets_json(doc.facets)}
     if doc.strata is not None:
         out["strata"] = [{"dim": d, "facets": _facets_json(fs)} for d, fs in doc.strata]
     if doc.stark_neighborhoods is not None:
-        out["stark_neighborhoods"] = [
-            {
-                "base_facets": _facets_json(nb.base_facets),
-                "levels": [
-                    [{"apex": apex, "L_facets": _facets_json(lf)} for apex, lf in lvl]
-                    for lvl in nb.levels
-                ],
-            }
-            for nb in doc.stark_neighborhoods
-        ]
+        out["stark_neighborhoods"] = [_neighborhood_json(nb) for nb in doc.stark_neighborhoods]
     if doc.metadata is not None:
         out["metadata"] = doc.metadata
     return out
@@ -310,16 +311,6 @@ def document_for_stark(
 
 
 # ------------------------------------------------------------ sequences
-
-
-def _neighborhood_json(nb: NeighborhoodDocument) -> dict:
-    return {
-        "base_facets": _facets_json(nb.base_facets),
-        "levels": [
-            [{"apex": apex, "L_facets": _facets_json(lf)} for apex, lf in lvl]
-            for lvl in nb.levels
-        ],
-    }
 
 
 def _move_json(record: MoveRecord) -> dict:

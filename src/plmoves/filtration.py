@@ -12,6 +12,12 @@ replaces the suspended star (A * boundary(B)) * P_l by (boundary(A) * B) *
 P_l inside every M_l.  Restricted to M_k this is exactly the inner
 bistellar move; that commutation is what the tests pin down.
 
+``extended_applicable`` reads the link condition from the star index of
+each level, as star(A; M_l) = {A + (B - y) + p : y in B, p a facet of P_l},
+or {A + p} when B is a fresh vertex, so a checked move builds no link or
+join.  ``_extended_move`` is the one lift of an inner move: through the
+apexes its links force, then the full check.
+
 Local flatness of the strata is an input assumption; validate_filtration
 says so rather than pretending to check it.
 """
@@ -29,12 +35,10 @@ from .complexes import (
     closure,
     fresh_vertex,
     join,
-    link,
     product_with_interval,
-    simplex_boundary,
 )
 from .manifold import Verdict, check_combinatorial_manifold
-from .moves import BistellarMove, MoveError, _derived, enumerate_moves
+from .moves import BistellarMove, MoveError, _derived, _inserted_facets, enumerate_moves
 
 
 class FiltrationError(ValueError):
@@ -205,15 +209,18 @@ def find_filtered_suspension(fc: FilteredComplex, ball: Complex, k: int | None =
     return SuspensionData(k, found)
 
 
-def _expected_link(inner: BistellarMove, fresh: bool, susp: SuspensionData, level: int):
-    base = EMPTY if fresh else simplex_boundary(inner.b)
-    return join(base, susp.pair_complex_through(level))
-
-
-def _is_fresh_inner(fc: FilteredComplex, move: ExtendedMove) -> bool:
+def _is_fresh_inner(fc: FilteredComplex, inner: BistellarMove) -> bool:
     """A facet-subdivision inner move is recognized by its b being a single
     vertex absent from the whole complex."""
-    return move.inner.b.dim == 0 and move.inner.b[0] not in fc.complex.vertices
+    return inner.b.dim == 0 and inner.b[0] not in fc.complex.vertices
+
+
+def _stratum_avoid(fc: FilteredComplex, k: int) -> Complex:
+    """What an inner move of stratum k keeps: the lower stratum and the
+    boundary of M_k."""
+    return closure(
+        list(fc.strata[k - 1].facets) + list(fc.strata[k].boundary_complex.facets)
+    )
 
 
 def extended_applicable(fc: FilteredComplex, move: ExtendedMove) -> str | None:
@@ -235,7 +242,7 @@ def extended_applicable(fc: FilteredComplex, move: ExtendedMove) -> str | None:
         return "%s is not in the open stratum %d" % (a, k)
     if a in mk.boundary_complex:
         return "%s lies in the boundary of stratum %d" % (a, k)
-    fresh = _is_fresh_inner(fc, move)
+    fresh = _is_fresh_inner(fc, inner)
     if fresh:
         if a.dim != k:
             return "fresh-vertex move needs a %d-simplex, got %s" % (k, a)
@@ -254,9 +261,14 @@ def extended_applicable(fc: FilteredComplex, move: ExtendedMove) -> str | None:
             if v in seen:
                 return "apex %d repeated" % v
             seen.add(v)
+    # star(a; M_level) must be the facets of a * boundary(b) * P_level, built
+    # one apex pair at a time; for a fresh vertex b this starts from a alone
+    expected = _inserted_facets(inner.b, a)
     for level in range(k, fc.n + 1):
-        expected = _expected_link(inner, fresh, move.suspension, level)
-        if link(a, fc.strata[level]) != expected:
+        if level > k:
+            pair = move.suspension.apexes[level - k - 1]
+            expected = [tuple(sorted(f + (v,))) for f in expected for v in pair]
+        if set(fc.strata[level]._star_index[a]) != set(expected):
             return "link of %s in stratum %d is not the suspended boundary" % (a, level)
     return None
 
@@ -302,14 +314,14 @@ def suspension_from_links(
 ) -> SuspensionData | None:
     """Derive the apex pair of each level directly from the links of ``a``:
     when the extended move is available the apexes are forced, being the
-    vertices of lk(a; M_{l}) beyond those of the level below.  Returns None
-    as soon as the forced shape fails."""
+    vertices of lk(a; M_{l}), the union of star(a; M_l) less a, beyond those
+    of the level below.  Returns None as soon as the forced shape fails."""
     a = _as_simplex(a)
     pairs = []
     prev_vertices = set() if b is None else set(b)
     for level in range(k + 1, fc.n + 1):
-        lk_level = link(a, fc.strata[level])
-        extra = sorted(lk_level.vertices - prev_vertices - set(pair for p in pairs for pair in p))
+        star = fc.strata[level]._star_index.get(a, ())
+        extra = sorted(set().union(*star).difference(a, prev_vertices))
         lower = fc.strata[level - 1].vertices
         extra = [v for v in extra if v not in lower]
         if len(extra) != 2:
@@ -319,38 +331,37 @@ def suspension_from_links(
     return SuspensionData(k, tuple(pairs))
 
 
-def enumerate_extended_moves(
-    fc: FilteredComplex, label_floor: int = -1
-) -> list[ExtendedMove]:
+def _extended_move(fc: FilteredComplex, k: int, inner: BistellarMove) -> ExtendedMove | None:
+    """The inner move of stratum k lifted through its forced suspension, or
+    None when the lifted move is not available."""
+    susp = suspension_from_links(fc, inner.a, None if _is_fresh_inner(fc, inner) else inner.b, k)
+    if susp is None:
+        return None
+    move = ExtendedMove(k, inner, susp)
+    return move if extended_applicable(fc, move) is None else None
+
+
+def enumerate_extended_moves(fc: FilteredComplex) -> list[ExtendedMove]:
     """Every applicable extended move, ordered by (stratum, inner move).
 
     Inner candidates come from the stratum with its lower stratum and its
     boundary avoided; fresh labels are fresh for the whole complex.  Each
-    candidate's suspension is forced by the links, and the full
-    applicability check filters the rest.
+    candidate is lifted through the suspension its links force, and the
+    full applicability check filters the rest.
     """
     out = []
-    floor = max(fresh_vertex(fc.complex) - 1, label_floor)
+    floor = fresh_vertex(fc.complex) - 1
     for k in range(1, fc.n + 1):
         mk = fc.strata[k]
         if not mk or mk.dim != k:
             continue
-        avoid = closure(
-            list(fc.strata[k - 1].facets) + list(mk.boundary_complex.facets)
-        )
         try:
-            inners = enumerate_moves(mk, avoid, label_floor=floor)
+            inners = enumerate_moves(mk, _stratum_avoid(fc, k), label_floor=floor)
         except MoveError:
             continue
         for inner in inners:
-            fresh = inner.b.dim == 0 and inner.b[0] not in fc.complex.vertices
-            susp = suspension_from_links(
-                fc, inner.a, None if fresh else inner.b, k
-            )
-            if susp is None:
-                continue
-            move = ExtendedMove(k, inner, susp)
-            if extended_applicable(fc, move) is None:
+            move = _extended_move(fc, k, inner)
+            if move is not None:
                 out.append(move)
     return out
 

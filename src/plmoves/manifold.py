@@ -7,11 +7,10 @@ complexes of dimension at most two, where the classification of surfaces
 settles everything; in dimension three and above it falls back on
 ``moves.greedy_reduction``, the one greedy bistellar reducer, which
 ``reduce`` runs too: reaching the boundary of a simplex proves a sphere, and
-a stall alone can only ever answer "unknown".  Ball recognition in
-dimension three cones off the boundary and sphere-checks the result (sound
-by Alexander's theorem); in dimension four and above a positive answer is
-withheld and "unknown" returned, since the corresponding Schoenflies
-question is open.
+a stall alone can only ever answer "unknown".  Ball recognition, in every
+dimension, cones off the boundary sphere and sphere-checks the result: if
+K + c * boundary(K) is a PL sphere, K is that sphere less the open star of
+the cone point c, a PL ball by Newman's theorem.
 
 In the closed case of dimension three and up, the reduction runs first,
 after the cheap tests of purity, connectedness and ridges.  Reaching the
@@ -235,7 +234,7 @@ def _decide(k: Complex, expect_dim: int, verdicts: dict):
     bverdict, bkind = _verdict(boundary, d - 1, verdicts)
     if bverdict is Verdict.NO or (bverdict is Verdict.YES and bkind != "sphere"):
         return Verdict.NO, None
-    if d == 3 and bverdict is Verdict.YES:
+    if bverdict is Verdict.YES:
         capped = cone(boundary, fresh_vertex(k))
         merged = Complex(list(k.facets) + list(capped.facets), _trusted=True)
         sv, skind = _verdict(merged, d, verdicts)

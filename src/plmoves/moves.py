@@ -8,6 +8,11 @@ facet A.  The inverse of chi_(A,B) is chi_(B,A):  both operations exist on
 combinatorial manifolds (with A interior when there is boundary), and
 applying one after the other restores the facet set exactly.
 
+The move is available where lk(A) = boundary(B), and that rule is read from
+the star index, in one helper, ``_co_simplex``, which the move set and the
+checked moves (``applicability_obstruction``, ``bistellar_applicable``,
+``apply_bistellar``) all ask; a checked move builds no link complex.
+
 A move changes only the closed star of A (Pachner's locality), and the move
 set is kept the same way.  :class:`MoveSet` reads the star index of a
 complex once and tests every face with its one candidate test; applying a
@@ -56,7 +61,6 @@ from .complexes import (
     _as_simplex,
     fresh_vertex,
     join,
-    link,
     simplex_boundary,
     simplex_complex,
 )
@@ -73,6 +77,22 @@ _NO_MOVE = object()  # the candidate test's answer for a face without a move
 def fsum_delta(a, b) -> int:
     """Change of the total simplex count under chi_(a, b): 2^|a| - 2^|b|."""
     return (1 << len(a)) - (1 << len(b))
+
+
+def _co_simplex(fs: tuple, a: Simplex, size: int) -> Simplex | None:
+    """The b with lk(a) = boundary(b), or None, read from the facets ``fs``
+    holding a in a complex whose facets have at most ``size`` vertices.
+    With m = size - |a|, it exists exactly when ``fs`` is m + 1 facets, all
+    of ``size`` vertices, with m + 1 vertices outside a: their rests are
+    then every facet of boundary(b).  The size condition keeps the rule
+    exact on non-pure complexes."""
+    m = size - len(a)
+    if len(fs) != m + 1:
+        return None
+    rest = set().union(*fs).difference(a)
+    if len(rest) != m + 1 or sum(map(len, fs)) != size * len(fs):
+        return None
+    return tuple.__new__(Simplex, sorted(rest))
 
 
 def _inserted_facets(a: Simplex, b: Simplex) -> list[Simplex]:
@@ -254,11 +274,9 @@ def applicability_obstruction(k: Complex, a) -> str | None:
         return "simplex %s lies in the boundary" % (a,)
     if a.dim == k.dim:
         return None
-    lk = link(a, k)
-    m = k.dim - a.dim
-    b = tuple.__new__(Simplex, sorted(lk.vertices))
-    if len(b) != m + 1 or lk != simplex_boundary(b):
-        return "link of %s is not the boundary of a %d-simplex" % (a, m)
+    b = _co_simplex(k._star_index[a], a, k.dim + 1)
+    if b is None:
+        return "link of %s is not the boundary of a %d-simplex" % (a, k.dim - a.dim)
     if b in k:
         return "candidate co-simplex %s already present" % (list(b),)
     return None
@@ -276,7 +294,7 @@ def bistellar_applicable(k: Complex, a, label_floor: int = -1) -> BistellarMove 
         return None
     if a.dim == k.dim:
         return BistellarMove(a, Simplex([fresh_vertex(k, label_floor)]))
-    return BistellarMove(a, tuple.__new__(Simplex, sorted(link(a, k).vertices)))
+    return BistellarMove(a, _co_simplex(k._star_index[a], a, k.dim + 1))
 
 
 def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
@@ -303,7 +321,7 @@ def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
         if b.dim != 0 or b[0] in k.vertices:
             raise MoveError("cannot apply %s: %s is not a fresh vertex" % (move, b))
     else:
-        expected = tuple.__new__(Simplex, sorted(link(a, k).vertices))
+        expected = _co_simplex(k._star_index[a], a, n + 1)
         if b != expected:
             raise MoveError(
                 "cannot apply %s: link of %s is the boundary of %s" % (move, a, expected)
@@ -391,15 +409,11 @@ class MoveSet:
         fs = self._star.get(a)
         if fs is None or a in self._avoided:
             return _NO_MOVE
-        m = self._size - len(a)  # link facets have m vertices
-        if m == 0:
+        if len(a) == self._size:
             return None
-        if len(fs) != m + 1:
+        b = _co_simplex(fs, a, self._size)
+        if b is None:
             return _NO_MOVE
-        rest = set().union(*fs).difference(a)
-        if len(rest) != m + 1:
-            return _NO_MOVE
-        b = tuple.__new__(Simplex, sorted(rest))
         self._linked[a] = b
         self._waiting.setdefault(b, set()).add(a)
         return _NO_MOVE if b in self._star else b

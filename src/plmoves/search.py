@@ -32,7 +32,6 @@ from .complexes import (
     Complex,
     Simplex,
     canonical_facet_text,
-    closure,
     facet_text,
     fingerprint,
     fresh_vertex,
@@ -40,10 +39,11 @@ from .complexes import (
 from .filtration import (
     ExtendedMove,
     FilteredComplex,
+    _extended_move,
+    _is_fresh_inner,
+    _stratum_avoid,
     apply_extended_bistellar,
     enumerate_extended_moves,
-    extended_applicable,
-    suspension_from_links,
     validate_filtration,
 )
 from .homology import euler_characteristic, f_vector, minimal_sphere_f_vector
@@ -102,8 +102,12 @@ def state_fingerprint(state) -> str:
     (all strata in order)."""
     if isinstance(state, Complex):
         return fingerprint(state)
-    text = "|".join(canonical_facet_text(m) for m in state.strata)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+    return hashlib.sha256(_strata_key(state).encode("ascii")).hexdigest()[:16]
+
+
+def _strata_key(fc: FilteredComplex) -> str:
+    """The canonical facet texts of all strata, in order."""
+    return "|".join(canonical_facet_text(m) for m in fc.strata)
 
 
 @dataclass(frozen=True)
@@ -467,16 +471,6 @@ def reduce(
     return ms.complex(), MoveSequence.for_state(k, records)
 
 
-def _strata_key(fc: FilteredComplex) -> str:
-    return "|".join(canonical_facet_text(m) for m in fc.strata)
-
-
-def _stratum_avoid(fc: FilteredComplex, k: int) -> Complex:
-    return closure(
-        list(fc.strata[k - 1].facets) + list(fc.strata[k].boundary_complex.facets)
-    )
-
-
 def _align_fast(fc1: FilteredComplex, fc2: FilteredComplex, budget: SearchBudget):
     """Stratum-by-stratum alignment: search inside each stratum, realize
     the inner moves through their forced suspensions.  Returns the records
@@ -497,15 +491,8 @@ def _align_fast(fc1: FilteredComplex, fc2: FilteredComplex, budget: SearchBudget
         if inner_seq is None:
             return None
         for record in inner_seq.moves:
-            inner = record.move
-            fresh = inner.b.dim == 0 and inner.b[0] not in current.complex.vertices
-            susp = suspension_from_links(
-                current, inner.a, None if fresh else inner.b, k
-            )
-            if susp is None:
-                return None
-            move = ExtendedMove(k, inner, susp)
-            if extended_applicable(current, move) is not None:
+            move = _extended_move(current, k, record.move)
+            if move is None:
                 return None
             current = apply_extended_bistellar(current, move)
             records.append(MoveRecord("extended", move))
@@ -528,7 +515,7 @@ def _align_states(fc1: FilteredComplex, fc2: FilteredComplex, budget: SearchBudg
         out = []
         for m in enumerate_extended_moves(fc):
             inner = m.inner
-            if inner.b.dim == 0 and inner.b[0] not in fc.complex.vertices:
+            if _is_fresh_inner(fc, inner):
                 continue  # insertions get chosen labels below
             result = apply_extended_bistellar(fc, m)
             if inner.a.dim == 0 and inner.a[0] != fresh_vertex(result.complex):
@@ -545,14 +532,10 @@ def _align_states(fc1: FilteredComplex, fc2: FilteredComplex, budget: SearchBudg
             for facet in sorted(mk.facets):
                 if facet.dim != k or facet in avoid:
                     continue
-                susp = suspension_from_links(fc, facet, None, k)
-                if susp is None:
-                    continue
                 for v in labels:
-                    grow = ExtendedMove(k, BistellarMove(facet, Simplex([v])), susp)
-                    if extended_applicable(fc, grow) is not None:
-                        continue
-                    out.append((grow.inverse(), apply_extended_bistellar(fc, grow)))
+                    grow = _extended_move(fc, k, BistellarMove(facet, Simplex([v])))
+                    if grow is not None:
+                        out.append((grow.inverse(), apply_extended_bistellar(fc, grow)))
         return None, out
 
     return _bidirectional(fc1, fc2, expand_fw, expand_bw, _strata_key, budget)

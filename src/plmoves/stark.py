@@ -21,17 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (
-    Complex,
-    closure,
-    cone,
-    join,
-    simplex_boundary,
-    simplex_complex,
-)
+from .complexes import Complex, closure, cone
 from .filtration import FilteredComplex, FiltrationReport, SuspensionData
 from .manifold import Verdict, check_combinatorial_manifold, sphere_or_ball_verdict
-from .moves import BistellarMove
+from .moves import BistellarMove, inserted_ball, replaced_ball
 
 
 class StarkError(ValueError):
@@ -279,7 +272,7 @@ def inverse_neighborhood(nbhd: StarkNeighborhood, inner: BistellarMove) -> Stark
     """The neighborhood seen after applying ``inner`` in ``nbhd``: the base
     becomes dA * B and every cell support swaps the old base vertices for
     the new ones.  Composing with inner.inverse() undoes the stark move."""
-    after = join(simplex_boundary(inner.a), simplex_complex(inner.b))
+    after = inserted_ball(inner)
     old = frozenset(nbhd.base.vertices)
     new = frozenset(after.vertices)
     levels = tuple(
@@ -314,7 +307,7 @@ def _prepared(x: FilteredComplex, nbhd: StarkNeighborhood, inner: BistellarMove)
             % (k, x.n - k, len(nbhd.levels)),
             None,
         )
-    if nbhd.base != join(simplex_complex(inner.a), simplex_boundary(inner.b)):
+    if nbhd.base != replaced_ball(inner):
         return "the base is not the source ball A * dB of the move", None
     if inner.b in x.complex:
         return "co-simplex %s already present" % (inner.b,), None
@@ -384,7 +377,7 @@ def apply_stark_extended_bistellar(
     if problem is not None:
         raise StarkError("cannot apply %s in a stark neighborhood: %s" % (inner, problem))
     k = nbhd.k
-    after = join(simplex_boundary(inner.a), simplex_complex(inner.b))
+    after = inserted_ball(inner)
     body_after = cone_extend(after, nbhd)
     vstrat = _vertex_strata(x)
     bset = set(inner.b)

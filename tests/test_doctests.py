@@ -3,16 +3,37 @@
 import doctest
 import importlib
 import pathlib
+import pkgutil
 import re
 
 import pytest
 
+import plmoves
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
-@pytest.mark.parametrize(
-    "name", ["complexes", "filtration", "homology", "manifold", "moves", "search", "stark"]
-)
+def modules_with_examples():
+    """Every plmoves module whose docstrings hold a ``>>>`` example, found by
+    walking the package, so a new example is never skipped."""
+    finder = doctest.DocTestFinder()
+    found = []
+    for info in pkgutil.iter_modules(plmoves.__path__):
+        module = importlib.import_module("plmoves." + info.name)
+        if any(test.examples for test in finder.find(module)):
+            found.append(info.name)
+    return found
+
+
+EXAMPLES = modules_with_examples()
+
+
+def test_examples_are_found_in_every_module_that_had_them():
+    listed = {"complexes", "filtration", "homology", "manifold", "moves", "search", "stark"}
+    assert listed <= set(EXAMPLES), EXAMPLES
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
 def test_module_examples_pass(name):
     result = doctest.testmod(importlib.import_module("plmoves." + name))
     assert result.attempted and not result.failed, result

@@ -136,6 +136,60 @@ def test_extended_apply_rejects_wrong_suspension():
     assert "levels" in extended_applicable(fc, short)
 
 
+def _extended(k, a, b, apexes):
+    return ExtendedMove(k, BistellarMove(a, b), SuspensionData(k, apexes))
+
+
+def test_extended_applicable_names_each_failed_condition():
+    fc = filtered_s2_equator()
+    # the upper hemisphere's triangle (1, 2, 4) subdivided by 6: the forced
+    # apexes of the edge (1, 2) become (5, 6)
+    lifted = FilteredComplex(
+        (EMPTY, fc.strata[1], apply_bistellar(fc.complex, BistellarMove((1, 2, 4), (6,))))
+    )
+    disk = FilteredComplex((EMPTY, Complex([(1, 3)]), Complex([(1, 2, 3), (1, 3, 4)])))
+    cases = [
+        (fc, _extended(0, (1, 2), (6,), ((4, 5),)), "stratum index 0 outside 1..2"),
+        (fc, _extended(3, (1, 2), (6,), ()), "stratum index 3 outside 1..2"),
+        (fc, _extended(1, (1, 2), (6,), ()), "suspension must carry 1 levels, has 0"),
+        (fc, _extended(1, (1, 4), (6,), ((4, 5),)), "(1, 4) is not a simplex of stratum 1"),
+        (fc, _extended(2, (1, 2), (4, 5), ()), "(1, 2) is not in the open stratum 2"),
+        (disk, _extended(1, (1,), (3,), ((2, 4),)), "(1,) lies in the boundary of stratum 1"),
+        (
+            fc,
+            _extended(1, (1,), (9,), ((4, 5),)),
+            "fresh-vertex move needs a 1-simplex, got (1,)",
+        ),
+        (fc, _extended(1, (1, 2), (4, 5), ((4, 5),)), "inner move dimensions do not sum to 1"),
+        (fc, _extended(1, (1,), (2, 3), ((4, 5),)), "co-simplex (2, 3) already present"),
+        (fc, _extended(1, (1, 2), (6,), ((1, 5),)), "apex 1 is not in the open stratum 2"),
+        (fc, _extended(1, (1, 2), (6,), ((4, 6),)), "apex 6 is not in the open stratum 2"),
+        (fc, _extended(1, (1, 2), (6,), ((4, 4),)), "apex 4 repeated"),
+        (
+            fc,
+            _extended(1, (1,), (2, 9), ((4, 5),)),
+            "link of (1,) in stratum 1 is not the suspended boundary",
+        ),
+        (
+            lifted,
+            _extended(1, (1, 2), (7,), ((4, 5),)),
+            "link of (1, 2) in stratum 2 is not the suspended boundary",
+        ),
+        (lifted, _extended(1, (1, 2), (7,), ((5, 6),)), None),
+        (disk, _extended(1, (1, 3), (9,), ((2, 4),)), None),
+    ]
+    for state, move, want in cases:
+        assert extended_applicable(state, move) == want, move
+    with pytest.raises(MoveError) as excinfo:
+        apply_extended_bistellar(lifted, _extended(1, (1, 2), (7,), ((4, 5),)))
+    assert str(excinfo.value) == (
+        "cannot apply extended[1] chi([1, 2], [7]) via [(4, 5)]: "
+        "link of (1, 2) in stratum 2 is not the suspended boundary"
+    )
+    assert suspension_from_links(lifted, (1, 2), None, 1) == SuspensionData(1, ((5, 6),))
+    assert suspension_from_links(fc, (1, 4), None, 1) is None
+
+
 def test_suspension_from_links_forces_the_apexes():
     fc = filtered_s2_equator()
     susp = suspension_from_links(fc, (1, 2), None, 1)

@@ -190,7 +190,11 @@ FAILING = {
 }
 STAR_VERDICTS = {
     # (n, steps, seed, vertex) -> verdict of the closed star as an n-ball
-    (4, 10, 3, 1): (Verdict.UNKNOWN, None),
+    # coned off, each of these 4- and 5-dimensional stars is a sphere that
+    # reduces, which proves a ball in every dimension
+    (4, 10, 3, 1): (Verdict.YES, "ball"),
+    (4, 30, 0, 2): (Verdict.YES, "ball"),
+    (5, 10, 1, 3): (Verdict.YES, "ball"),
     # coned off, this star is a 3-sphere that reduces (once "unknown")
     (3, 12, 2, 1): (Verdict.YES, "ball"),
     (3, 12, 2, 2): (Verdict.YES, "ball"),
@@ -224,6 +228,9 @@ def test_walked_sphere_reports_are_unchanged():
     for (n, steps, seed, v), want in STAR_VERDICTS.items():
         walked, _ = random_walk(boundary_of_simplex(n + 1), steps, seed=seed)
         assert sphere_or_ball_verdict(star((v,), walked), n) == want, (n, seed, v)
+    for seed in range(4):  # cones over walked 3-spheres are 4-balls
+        walked, _ = random_walk(boundary_of_simplex(4), 80, seed=seed)
+        assert sphere_or_ball_verdict(cone(walked, 100), 4) == (Verdict.YES, "ball"), seed
     assert sphere_or_ball_verdict(suspension(torus7(), 20, 21), 3) == (Verdict.NO, None)
     assert sphere_or_ball_verdict(suspension(rp2_6(), 20, 21), 3) == (Verdict.NO, None)
     assert sphere_or_ball_verdict(cone(suspension(torus7(), 20, 21), 22), 4)[0] is Verdict.NO

@@ -19,6 +19,7 @@ from plmoves import (
     applicability_obstruction,
     bistellar_applicable,
     boundary_of_simplex,
+    closure,
     enumerate_moves,
     f_vector,
     filtered_s2_equator,
@@ -91,6 +92,23 @@ def test_obstruction_messages():
     assert applicability_obstruction(disk, (1, 2, 7)) is None
     # vertex 7 is interior but its link is a 6-cycle, not a triangle boundary
     assert "not the boundary" in applicability_obstruction(disk, (7,))
+
+
+def test_the_move_rule_counts_the_facet_sizes_on_a_non_pure_complex():
+    # the star of 0 holds four triangles over the four vertices 1..4, as
+    # the star of a vertex with a move in a 3-complex would hold four
+    # tetrahedra; its link is a 4-cycle, not the boundary of a 3-simplex
+    k = closure([(0, 1, 2), (0, 3, 4), (0, 1, 3), (0, 2, 4), (5, 6, 7, 8)])
+    assert applicability_obstruction(k, (0,)) == (
+        "link of (0,) is not the boundary of a 3-simplex"
+    )
+    assert bistellar_applicable(k, (0,)) is None
+    with pytest.raises(MoveError) as excinfo:
+        apply_bistellar(k, BistellarMove((0,), (1, 2, 3, 4)))
+    assert str(excinfo.value) == (
+        "cannot apply chi([0], [1, 2, 3, 4]): "
+        "link of (0,) is not the boundary of a 3-simplex"
+    )
 
 
 def test_bistellar_applicable():
