@@ -5,6 +5,12 @@ There is one backend, this pure-Python module, and no build step:
     snf_summary(entries, nrows, ncols) -> (rank, torsion-factor tuple)
     scan_moves(facets)                 -> [(a, b-or-None), ...]
 
+``snf_summary`` is one dense elimination.  ``homology`` calls it only on
+the boundary matrices of a Morse complex, left by greedy collapses: a few
+rows and columns where the full boundary matrices have thousands.  And
+``homology`` checks every result by a dense elimination of its own, so a
+sparse pass before this one would save nothing end to end.
+
 ``homology`` calls ``snf_summary`` through this module's attribute, so a
 test or a tracer that replaces the attribute sees every call.  The package
 itself no longer calls ``scan_moves``: move sets are read from the star
@@ -17,19 +23,22 @@ records ``_kernel.BACKEND`` by name.
 
 from __future__ import annotations
 
-import heapq
 from itertools import combinations
 
 BACKEND = "pure"
 
 
 def _dense_snf_factors(mat):
-    """Diagonalize a small dense integer matrix in place.
+    """Diagonalize a dense integer matrix in place.
 
     Returns (rank, factors) where factors are the diagonal entries > 1 in
     divisibility order d1 | d2 | ...  Textbook algorithm with arbitrary
-    precision integers; meant for the small residue left after unit-pivot
-    elimination, so no attempt is made to be clever about fill-in.
+    precision integers, and no attempt to be clever about fill-in: the
+    Morse matrices ``homology`` passes have a few rows and columns.  After a
+    pivot of absolute value 1 the divisibility scan is skipped: 1 divides
+    every entry, so the skip is exact, and on full boundary matrices, where
+    almost every pivot is a unit, it saves a scan of the whole remaining
+    submatrix per pivot.
     """
     rank = 0
     factors = []
@@ -74,30 +83,31 @@ def _dense_snf_factors(mat):
                         break
             if restart:
                 continue
+            # the pivot column is now zero below the pivot, so a column step
+            # changes the pivot row alone
+            pivot_row = mat[top]
             for j in range(top + 1, ncols):
-                v = mat[top][j]
-                if v:
-                    q = v // p
-                    for i in range(top, nrows):
-                        mat[i][j] -= q * mat[i][top]
-                    if mat[top][j]:
-                        for i in range(nrows):
-                            mat[i][j], mat[i][top] = mat[i][top], mat[i][j]
-                        restart = True
-                        break
+                pivot_row[j] %= p
+                if pivot_row[j]:
+                    for row in mat:
+                        row[j], row[top] = row[top], row[j]
+                    restart = True
+                    break
             if not restart:
                 break
-        # pivot now clears its row and column; enforce divisibility
+        # pivot now clears its row and column; enforce divisibility, which
+        # a unit pivot has already
         p = abs(mat[top][top])
         offender = None
-        for i in range(top + 1, nrows):
-            row = mat[i]
-            for j in range(top + 1, ncols):
-                if row[j] % p:
-                    offender = i
+        if p > 1:
+            for i in range(top + 1, nrows):
+                row = mat[i]
+                for j in range(top + 1, ncols):
+                    if row[j] % p:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
             for j in range(top, ncols):
                 mat[top][j] += mat[offender][j]
@@ -114,89 +124,25 @@ def _dense_snf_factors(mat):
 def snf_summary(entries, nrows, ncols):
     """Smith normal form summary of a sparse integer matrix.
 
-    ``entries`` is an iterable of (row, col, value) with value != 0 and no
-    repeated positions.  Returns (rank, torsion) where torsion is the tuple
-    of invariant factors exceeding 1, in divisibility order.
+    ``entries`` is an iterable of (row, col, value) with no repeated
+    positions; an entry of value 0 is skipped.  Returns (rank, torsion)
+    where torsion is the tuple of invariant factors exceeding 1, in
+    divisibility order.
 
-    The interesting case is boundary matrices: almost every pivot is a unit,
-    so elimination runs with unit pivots chosen by Markowitz cost (no
-    coefficient growth, no gcd work), and whatever small residue remains is
-    finished by the dense routine above.
+    >>> snf_summary([(0, 0, 2)], 1, 1)  # the relation of the projective plane
+    (1, (2,))
     """
-    rows = {}
-    cols = {}
+    mat = [[0] * ncols for _ in range(nrows)]
     for i, j, v in entries:
         if v == 0:
             continue
         if not (0 <= i < nrows and 0 <= j < ncols):
             raise ValueError("entry (%d, %d) outside a %dx%d matrix" % (i, j, nrows, ncols))
-        row = rows.setdefault(i, {})
-        if j in row:
+        if mat[i][j]:
             raise ValueError("duplicate entry at (%d, %d)" % (i, j))
-        row[j] = v
-        cols.setdefault(j, set()).add(i)
-
-    rank = 0
-    heap = []
-    for i, row in rows.items():
-        for j, v in row.items():
-            if v == 1 or v == -1:
-                heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
-
-    while heap:
-        cost, i, j = heapq.heappop(heap)
-        row = rows.get(i)
-        if row is None:
-            continue
-        v = row.get(j)
-        if v is None or (v != 1 and v != -1):
-            continue
-        actual = (len(row) - 1) * (len(cols[j]) - 1)
-        if actual > cost:
-            heapq.heappush(heap, (actual, i, j))
-            continue
-        # pivot at (i, j): clear column j, then drop row i and column j
-        for i2 in list(cols[j]):
-            if i2 == i:
-                continue
-            row2 = rows[i2]
-            f = row2[j] * v  # multiplier, since 1/v == v for v = +-1
-            for j2, v2 in row.items():
-                cur = row2.get(j2, 0) - f * v2
-                if cur:
-                    had = j2 in row2
-                    row2[j2] = cur
-                    if not had:
-                        cols[j2].add(i2)
-                    if cur == 1 or cur == -1:
-                        heapq.heappush(
-                            heap, ((len(row2) - 1) * (len(cols[j2]) - 1), i2, j2)
-                        )
-                elif j2 in row2:
-                    del row2[j2]
-                    cols[j2].discard(i2)
-            if not row2:
-                del rows[i2]
-        for j2 in row:
-            cols[j2].discard(i)
-            if not cols[j2]:
-                del cols[j2]
-        del rows[i]
-        rank += 1
-
-    if not rows:
-        return rank, ()
-
-    # residue without unit entries: finish densely with exact arithmetic
-    live_rows = sorted(rows)
-    live_cols = sorted({j for row in rows.values() for j in row})
-    col_pos = {j: a for a, j in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
-    for a, i in enumerate(live_rows):
-        for j, v in rows[i].items():
-            dense[a][col_pos[j]] = v
-    extra_rank, factors = _dense_snf_factors(dense)
-    return rank + extra_rank, tuple(factors)
+        mat[i][j] = v
+    rank, factors = _dense_snf_factors(mat)
+    return rank, tuple(factors)
 
 
 def scan_moves(facets):

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .complexes import (
-    EMPTY,
     Complex,
     Simplex,
     _as_simplex,
@@ -91,14 +90,6 @@ class SuspensionData:
 
     start: int
     apexes: tuple[tuple[int, int], ...]
-
-    def pair_complex_through(self, level: int) -> Complex:
-        """P_level: the join of the two-point complexes of levels start+1
-        through level (EMPTY when level == start)."""
-        out = EMPTY
-        for plus, minus in self.apexes[: level - self.start]:
-            out = join(out, Complex([Simplex([plus]), Simplex([minus])], _trusted=True))
-        return out
 
 
 @dataclass(frozen=True)

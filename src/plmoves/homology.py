@@ -27,7 +27,9 @@ Homology is unreduced and computed over Z, so torsion comes out exactly
    one.
 4. Smith normal form.  ``_kernel.snf_summary`` runs on the Morse
    matrices only, a few rows and columns where the boundary matrices have
-   thousands.  The Betti numbers come from the critical-cell counts.
+   thousands, so one dense elimination serves, at no more cost than the
+   dense check below.  The Betti numbers come from the critical-cell
+   counts.
 
 With ``check=True`` (the default) these cross-checks run, each named with
 the failure it sees:

@@ -1,6 +1,6 @@
 """Shared builders for the test suite."""
 
-from plmoves import Complex, stellar_subdivide
+from plmoves import EMPTY, Complex, join, stellar_subdivide
 
 
 def hexagon_disk() -> Complex:
@@ -13,6 +13,15 @@ def disk_with_interior_triangle() -> Complex:
     all three of its edges interior, so its subdivision touches nothing on
     the rim."""
     return stellar_subdivide(hexagon_disk(), (1, 2, 7), new_vertex=8)
+
+
+def pair_complex_through(suspension, level: int) -> Complex:
+    """P_level of a ``SuspensionData``: the join of the two-point complexes
+    of levels start+1 through level (EMPTY when level == start)."""
+    out = EMPTY
+    for plus, minus in suspension.apexes[: level - suspension.start]:
+        out = join(out, Complex([(plus,), (minus,)]))
+    return out
 
 
 def run_cli(argv, stdin=None):

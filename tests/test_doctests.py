@@ -29,7 +29,16 @@ EXAMPLES = modules_with_examples()
 
 
 def test_examples_are_found_in_every_module_that_had_them():
-    listed = {"complexes", "filtration", "homology", "manifold", "moves", "search", "stark"}
+    listed = {
+        "_kernel",
+        "complexes",
+        "filtration",
+        "homology",
+        "manifold",
+        "moves",
+        "search",
+        "stark",
+    }
     assert listed <= set(EXAMPLES), EXAMPLES
 
 

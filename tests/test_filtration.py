@@ -28,6 +28,7 @@ from plmoves import (
 )
 from plmoves.demos import bipyramid, filtered_s2_equator, filtered_s3_equatorial_s2
 from plmoves.filtration import stratum_of
+from support import pair_complex_through
 
 
 def equator_circle():
@@ -83,10 +84,10 @@ def test_stratum_of():
 
 def test_suspension_data_pair_complex():
     susp = SuspensionData(1, ((4, 5),))
-    assert susp.pair_complex_through(1) == EMPTY
-    assert susp.pair_complex_through(2) == Complex([(4,), (5,)])
+    assert pair_complex_through(susp, 1) == EMPTY
+    assert pair_complex_through(susp, 2) == Complex([(4,), (5,)])
     deep = SuspensionData(1, ((4, 5), (8, 9)))
-    p3 = deep.pair_complex_through(3)
+    p3 = pair_complex_through(deep, 3)
     assert sorted(p3.facets) == [(4, 8), (4, 9), (5, 8), (5, 9)]
 
 

@@ -38,7 +38,7 @@ from plmoves import (
 )
 from plmoves.demos import rp2_6, torus7
 from plmoves.moves import MoveSet
-from support import disk_with_interior_triangle
+from support import disk_with_interior_triangle, pair_complex_through
 
 
 def link_obstruction(k, a):
@@ -105,7 +105,7 @@ def link_extended_obstruction(fc, move):
             seen.add(v)
     for level in range(k, fc.n + 1):
         base = EMPTY if fresh else simplex_boundary(inner.b)
-        if link(a, fc.strata[level]) != join(base, move.suspension.pair_complex_through(level)):
+        if link(a, fc.strata[level]) != join(base, pair_complex_through(move.suspension, level)):
             return "link of %s in stratum %d is not the suspended boundary" % (a, level)
     return None
 

@@ -105,6 +105,15 @@ KNOWN_VALUES = [
     (([(0, 0, 1)], 1, 1), (1, ())),
     # the RP^2 relation matrix shape: torsion without unit-free residue
     (([(0, 0, 2)], 1, 1), (1, (2,))),
+    # a zero value is skipped before the range check
+    (([(5, 0, 0)], 2, 2), (0, ())),
+    # and does not count as a duplicate
+    (([(0, 0, 0), (0, 0, 3)], 1, 1), (1, (3,))),
+    (([], 0, 3), (0, ())),
+    (([], 3, 0), (0, ())),
+    # entries may come from an iterator, read once
+    ((iter([(0, 1, 3), (1, 0, 3)]), 2, 2), (2, (3, 3))),
+    (([(0, 0, 2), (0, 1, 4), (1, 0, 6), (1, 1, 8)], 2, 2), (2, (2, 4))),
 ]
 
 

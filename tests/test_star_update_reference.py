@@ -19,7 +19,7 @@ from plmoves import (
 )
 from plmoves.demos import filtered_s2_equator, filtered_s3_equatorial_s2, rp2_6, torus7
 from plmoves.moves import MoveSet, _inserted_facets, _move_stars
-from support import hexagon_disk
+from support import hexagon_disk, pair_complex_through
 
 
 def _replace_in_stars(star, gone, inserted):
@@ -134,7 +134,7 @@ def _assert_extended_walk(fc, walk):
             stratum = fc.strata[level]
             body = join(
                 join(simplex_boundary(a), simplex_complex(b)),
-                move.suspension.pair_complex_through(level),
+                pair_complex_through(move.suspension, level),
             )
             want = dict(stratum._star_index)
             reference = _replace_in_stars(want, want[a], body.facets)
