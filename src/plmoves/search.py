@@ -10,9 +10,13 @@ keeps move sets the same way: the two ends get fresh, validated move sets,
 and every other state it expands copies its parent's and advances the copy
 by the one move that made the state.  Every successor, a bare facet set,
 is built from the move set's star without verifying the move; the
-certificate is verified by replay before anyone sees it.  Search is a semi-decision procedure: a None
-means the budget ran out, except when the ends differ in dimension or Euler
-characteristic, which no sequence of moves changes.
+certificate is verified by replay before anyone sees it.  Search is a
+semi-decision procedure: a None means the budget ran out, except when the
+ends differ in dimension or Euler characteristic, which no sequence of moves
+changes, or when the target holds a label at or below the floor that the
+start lacks.  Every insertion edge of the digraph creates a label above the
+floor, so such a label is out of reach: a proof only within the
+canonical-label digraph, since apply_bistellar accepts any unused label.
 
 stratified_align mirrors the stratum-by-stratum induction of the main
 theorem: align the lowest differing stratum with an inner search, realize
@@ -167,79 +171,63 @@ def _bidirectional(start, goal, expand_fw, expand_bw, key, budget: SearchBudget)
     predecessors), where predecessors yields (move, predecessor) and the move
     labels the edge predecessor -> node.  made_by is None for the two ends,
     and for any other node (context, move): the context its parent's
-    expansion returned and the move on the edge between them.  Each side
-    keeps the contexts of the layer it is expanding and of the layer before,
-    no more.  Deterministic: frontiers expand in canonical-key order and the
-    smaller frontier goes first.
+    expansion returned and the move on the edge between them.
+
+    One loop serves both sides.  A side is its reached dict (node -> None
+    at its end, else the node it came from and the move between them), its
+    frontier, the contexts of the layer it expanded last and its expander.
+    Each round expands the smaller frontier, forward on ties, one layer
+    deep, in canonical-key order, so a side keeps the contexts of the layer
+    it is expanding and of the layer before, no more.  Every generated
+    node counts against budget.nodes and every layer against budget.depth.
     """
     if start == goal:
         return []
-    forward = {start: None}
-    backward = {goal: None}
-    frontier_f = [start]
-    frontier_b = [goal]
-    contexts_f = {}
-    contexts_b = {}
-    used = 0
-    depth_f = depth_b = 0
-
-    def stitch(meet):
-        head = []
-        node = meet
-        while forward[node] is not None:
-            prev, move = forward[node]
-            head.append(move)
-            node = prev
-        head.reverse()
-        node = meet
-        while backward[node] is not None:
-            nxt, move = backward[node]
-            head.append(move)
-            node = nxt
-        return head
-
-    while frontier_f and frontier_b and depth_f + depth_b < budget.depth:
-        if len(frontier_f) <= len(frontier_b):
-            depth_f += 1
-            grown = []
-            expanded = {}
-            for node in sorted(frontier_f, key=key):
-                made = forward[node]
-                made_by = None if made is None else (contexts_f[made[0]], made[1])
-                expanded[node], successors = expand_fw(node, made_by)
-                for move, succ in successors:
-                    used += 1
-                    if used > budget.nodes:
-                        return None
-                    if succ in forward:
-                        continue
-                    forward[succ] = (node, move)
-                    if succ in backward:
-                        return stitch(succ)
-                    grown.append(succ)
-            frontier_f = grown
-            contexts_f = expanded
-        else:
-            depth_b += 1
-            grown = []
-            expanded = {}
-            for node in sorted(frontier_b, key=key):
-                made = backward[node]
-                made_by = None if made is None else (contexts_b[made[0]], made[1])
-                expanded[node], predecessors = expand_bw(node, made_by)
-                for move, pred in predecessors:
-                    used += 1
-                    if used > budget.nodes:
-                        return None
-                    if pred in backward:
-                        continue
-                    backward[pred] = (node, move)
-                    if pred in forward:
-                        return stitch(pred)
-                    grown.append(pred)
-            frontier_b = grown
-            contexts_b = expanded
+    # a side: [reached, frontier, contexts of the last layer, expander]
+    fw = [{start: None}, [start], {}, expand_fw]
+    bw = [{goal: None}, [goal], {}, expand_bw]
+    used = depth = 0
+    while fw[1] and bw[1] and depth < budget.depth:
+        depth += 1
+        side, other = (fw, bw) if len(fw[1]) <= len(bw[1]) else (bw, fw)
+        reached, frontier, contexts, expand = side
+        grown = []
+        expanded = {}
+        for node in sorted(frontier, key=key):
+            made = reached[node]
+            made_by = None if made is None else (contexts[made[0]], made[1])
+            expanded[node], edges = expand(node, made_by)
+            for move, nxt in edges:
+                used += 1
+                if used > budget.nodes:
+                    return None
+                if nxt in reached:
+                    continue
+                reached[nxt] = (node, move)
+                if nxt in other[0]:
+                    return _walk_back(fw[0], nxt)[::-1] + _walk_back(bw[0], nxt)
+                grown.append(nxt)
+        side[1], side[2] = grown, expanded
     return None
+
+
+def _walk_back(reached, node) -> list:
+    """The moves on the reached path from node to its side's end, nearest
+    first."""
+    moves = []
+    while reached[node] is not None:
+        node, move = reached[node]
+        moves.append(move)
+    return moves
+
+
+def _replayed(start, goal, records) -> MoveSequence:
+    """The certificate of these records from start, once it replays to
+    goal."""
+    seq = MoveSequence.for_state(start, records)
+    if replay(start, seq) != goal:
+        raise SearchError("internal error: certificate failed replay")
+    return seq
 
 
 def _fresh_without(vertices, v: int, floor: int) -> int:
@@ -301,9 +289,15 @@ def flip_search(
     """A bistellar certificate from k1 to k2 touching only moves from
     enumerate_moves(., avoid), or None.
 
-    None means the budget ran out, or that the ends differ in dimension or
-    Euler characteristic, which bistellar moves preserve; only the second
-    is a proof that no sequence exists.
+    None means the budget ran out, that the ends differ in dimension or
+    Euler characteristic, which bistellar moves preserve, or that k2 holds
+    a label at or below label_floor that k1 lacks; the last two are found
+    before any search.  Only the second is a proof that no sequence
+    exists.  The third is a proof within the canonical-label digraph,
+    whose every insertion edge creates a label above the floor: forward
+    subdivisions take max(labels, floor) + 1, a backward reinsertion of a
+    must be _fresh_without's label, and the backward predecessors that gain
+    end labels are removal edges.
 
     A state is the frozenset of its facets.  The ends get fresh move sets,
     validated as enumerate_moves validates them; every other state's move
@@ -322,6 +316,8 @@ def flip_search(
     if avoid and not (avoid.is_subcomplex_of(k1) and avoid.is_subcomplex_of(k2)):
         raise SearchError("the avoided subcomplex is not shared by both ends")
     if k1.dim != k2.dim or euler_characteristic(k1) != euler_characteristic(k2):
+        return None
+    if any(v <= label_floor for v in k2.vertices - k1.vertices):
         return None
     end_labels = k1.vertices | k2.vertices
     ends = {k1.facets: k1, k2.facets: k2}
@@ -377,12 +373,9 @@ def flip_search(
     moves = _bidirectional(k1.facets, k2.facets, expand_fw, expand_bw, key, budget)
     if moves is None:
         return None
-    seq = MoveSequence.for_state(
-        k1, [MoveRecord("bistellar", BistellarMove(a, b)) for a, b in moves]
+    return _replayed(
+        k1, k2, [MoveRecord("bistellar", BistellarMove(a, b)) for a, b in moves]
     )
-    if replay(k1, seq) != k2:
-        raise SearchError("internal error: certificate failed replay")
-    return seq
 
 
 def random_walk(
@@ -475,7 +468,9 @@ def _align_fast(fc1: FilteredComplex, fc2: FilteredComplex, budget: SearchBudget
     """Stratum-by-stratum alignment: search inside each stratum, realize
     the inner moves through their forced suspensions.  Returns the records
     or None when any stage fails; label interleaving across strata is the
-    usual reason."""
+    usual reason.  Each inner search runs with its floor just below the
+    fresh label of the current complex, so a target stratum that needs back
+    a lower label it lacks fails at once, without a search."""
     records = []
     current = fc1
     for k in range(1, fc1.n + 1):
@@ -567,10 +562,7 @@ def stratified_align(
         if moves is None:
             return None
         records = [MoveRecord("extended", m) for m in moves]
-    seq = MoveSequence.for_state(fc1, records)
-    if replay(fc1, seq) != fc2:
-        raise SearchError("internal error: certificate failed replay")
-    return seq
+    return _replayed(fc1, fc2, records)
 
 
 def find_isomorphism(k1: Complex, k2: Complex) -> dict | None:

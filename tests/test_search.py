@@ -36,6 +36,7 @@ from plmoves import (
     stellar_subdivide,
     stratified_align,
 )
+from plmoves import search
 from plmoves.demos import (
     bipyramid,
     filtered_s2_equator,
@@ -127,6 +128,86 @@ def test_flip_search_respects_budget():
     s2 = boundary_of_simplex(3)
     far, _ = random_walk(s2, 6, seed=9)
     assert flip_search(s2, far, budget=SearchBudget(depth=1, nodes=50)) is None
+
+
+def test_flip_search_refuses_a_target_label_at_or_below_the_floor(monkeypatch):
+    # every insertion edge creates a label above label_floor, so a target
+    # label at or below it that the start lacks is out of reach: flip_search
+    # answers None before it searches
+    s2 = boundary_of_simplex(3)
+    bigger = stellar_subdivide(s2, (1, 2, 3), new_vertex=5)
+    seq = flip_search(s2, bigger, label_floor=4)
+    assert [str(r.move) for r in seq] == ["chi([1, 2, 3], [5])"]
+
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(search, "_bidirectional", no_search)
+    assert flip_search(s2, bigger, label_floor=10) is None
+
+
+def _toy_search(start, goal, depth=8, nodes=2_000_000):
+    # the integers with edges n -> n + 1 and n -> 2n, each labelled by its
+    # operation and its tail; returns the path and every expansion with its
+    # made_by
+    log = []
+
+    def expand_fw(n, made_by):
+        log.append(("fw", n, made_by))
+        return ("fw", n), [(("+", n), n + 1), (("*", n), 2 * n)]
+
+    def expand_bw(n, made_by):
+        log.append(("bw", n, made_by))
+        preds = [(("+", n - 1), n - 1)] if n > 1 else []
+        if n % 2 == 0:
+            preds.append((("*", n // 2), n // 2))
+        return ("bw", n), preds
+
+    path = search._bidirectional(
+        start, goal, expand_fw, expand_bw, lambda n: n, SearchBudget(depth, nodes)
+    )
+    return path, log
+
+
+def test_bidirectional_paths_on_a_toy_graph():
+    assert _toy_search(5, 5) == ([], [])
+    path, log = _toy_search(1, 10)
+    assert path == [("+", 1), ("*", 2), ("+", 4), ("*", 5)]
+    assert log == [
+        ("fw", 1, None),
+        ("fw", 2, (("fw", 1), ("+", 1))),
+        ("bw", 10, None),
+        ("fw", 3, (("fw", 2), ("+", 2))),
+        ("fw", 4, (("fw", 2), ("*", 2))),
+    ]
+    path, log = _toy_search(3, 24)
+    assert path == [("*", 3), ("*", 6), ("*", 12)]
+    assert log == [
+        ("fw", 3, None),
+        ("bw", 24, None),
+        ("fw", 4, (("fw", 3), ("+", 3))),
+        ("fw", 6, (("fw", 3), ("*", 3))),
+    ]
+    # the smaller frontier expands first, forward on ties; a backward edge
+    # is labelled by the move from the predecessor
+    path, log = _toy_search(1, 13)
+    assert path == [("+", 1), ("+", 2), ("*", 3), ("*", 6), ("+", 12)]
+    assert log == [
+        ("fw", 1, None),
+        ("fw", 2, (("fw", 1), ("+", 1))),
+        ("bw", 13, None),
+        ("bw", 12, (("bw", 13), ("+", 12))),
+        ("fw", 3, (("fw", 2), ("+", 2))),
+    ]
+
+
+def test_bidirectional_stops_at_its_caps_and_at_an_empty_frontier():
+    two = [("fw", 1, None), ("fw", 2, (("fw", 1), ("+", 1)))]
+    assert _toy_search(1, 10, depth=2) == (None, two)
+    assert _toy_search(1, 10, nodes=3) == (None, two)
+    assert _toy_search(1, 10, nodes=4) == (None, two + [("bw", 10, None)])
+    # 1 has no predecessor, so the backward frontier runs out
+    assert _toy_search(5, 1) == (None, [("fw", 5, None), ("bw", 1, None)])
 
 
 def test_flip_search_avoid_must_be_shared():
@@ -276,8 +357,9 @@ def _output_digest(seq, end):
 # the floored searches and the alignments: before search states became
 # bare facet sets; the 300-step S3 walk and the larger reductions: before
 # move sets kept their moves in order; the extended walks: before every
-# star update walked the faces of a u b once); any change to move order,
-# labels or tie-breaking shows up here.
+# star update walked the faces of a u b once; the criterion-6 alignments:
+# before flip_search refused target labels at or below its floor); any
+# change to move order, labels or tie-breaking shows up here.
 OUTPUT_DIGESTS = {
     "walk_s3": "e80149ec1f8a9ad92f09a047a3fbb14ff86726dc9af6007beebbab4d488d8074",
     "walk_torus7": "90beb82bd64bb766878241894576c2733cf2772e228db262a649dda81b6618af",
@@ -299,6 +381,7 @@ OUTPUT_DIGESTS = {
     "align_s2_equator_4": "ca43b34aca7c0dacc939be89d68a6e539eb3b9cd098ab3779a4d54d7445cfd90",
     "align_s3_equatorial_s2_1": "290b8a67c68ce473d92049c1a0642e1747e80f9776b0382ea98589e22be1741c",
     "align_s3_equatorial_s2_5": "0622dfed1876aa7bf9ffe37da005c764e0a852d5883821855a6a8c7418df5281",
+    "align_s2_equator_criterion6": "3662f4362da59054b178530ebcf9fd4bb8d6bb9e1132ac3aa6fd6fcdf9c2eed1",
     "walk_filtered_s2_30": "631b256501e7a7b54d8afffb742720d53b0a9f8a515df8b4f75e2721462d2986",
     "walk_filtered_s3_30": "8d48f173841f51357e9a3742a9a035314fbeb95234dbee2afb04780865ebcb7e",
 }
@@ -367,6 +450,14 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
         end, _ = random_extended_walk(fc, 3, seed=seed)
         seq = stratified_align(fc, end)
         aligned["%s_%d" % (name, seed)] = _output_digest(seq, replay(fc, seq))
+    # the 20 walks of acceptance criterion 6; seeds 3, 7, 11, 15 and 19 need
+    # the whole-state search after the stratum-by-stratum path fails
+    fc = filtered_s2_equator()
+    criterion6 = []
+    for seed in range(20):
+        end, _ = random_extended_walk(fc, seed % 4 + 1, seed=seed)
+        criterion6.append(emit_sequence(stratified_align(fc, end)))
+    aligned["align_s2_equator_criterion6"] = _digest(*criterion6)
     # extended walks pin the suspended moves beyond the alignments: the
     # certificate and the fingerprint of its replayed end
     extended = {}
