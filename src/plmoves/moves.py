@@ -15,14 +15,14 @@ checked moves (``applicability_obstruction``, ``bistellar_applicable``,
 
 A move changes only the closed star of A (Pachner's locality), and the move
 set is kept the same way.  :class:`MoveSet` reads the star index of a
-complex once and tests every face with its one candidate test; applying a
-move updates only the stars of the proper faces of A + B, the faces of the
-removed and added facets, and tests again those faces and the faces whose
-link is the boundary of a simplex that appeared or vanished.  It keeps its
-faces that have a move in order, sorted once on construction into one list
-and one list per face size, and moves a face in or out by bisection when
-the face gains or loses its move, so no step sorts anything.
-``enumerate_moves`` reads a fresh MoveSet once.  Random walks and ``greedy_reduction``, the one greedy
+complex once and asks the rule at every face; applying a move updates only
+the stars of the proper faces of A + B, and asks the rule again only where
+a star was kept and changed: the faces that vanish or appear, and those
+linked to them, are decided in closed form.  It keeps its faces that have
+a move in order, sorted once on construction into one list and one list
+per face size, and moves a face in or out by bisection when the face gains
+or loses its move, so no step sorts anything.  ``enumerate_moves`` reads a
+fresh MoveSet once.  Random walks and ``greedy_reduction``, the one greedy
 reducer behind both ``reduce`` and the sphere verdict, follow one MoveSet
 through all their steps and do not verify each step: a walk draws from the
 ordered faces, and a reduction step reads the size lists, since a move's
@@ -71,7 +71,7 @@ class MoveError(ValueError):
     """A move was applied where its preconditions fail."""
 
 
-_NO_MOVE = object()  # the candidate test's answer for a face without a move
+_NO_MOVE = object()  # MoveSet._mark's b for a face without a move
 
 
 def fsum_delta(a, b) -> int:
@@ -130,9 +130,22 @@ def _move_stars(star: dict, gone, a: Simplex, b: Simplex, p: tuple = ()):
     only part of a face's star, so there a face that holds a or b is told by
     the index.
 
-    Returns a dict from each face to the inserted facets holding it, then
-    the faces that vanished and those that appeared.  A star keeps its
-    order, with the inserted facets after it.
+    Returns the faces that kept a changed star (they hold neither a nor b),
+    those that vanished and those that appeared, in the pass's order.  A
+    star keeps its order, with the inserted facets after it.
+
+    A flip on the bipyramid, the edge 1-2 for the edge of its poles:
+
+    >>> from .demos import bipyramid
+    >>> star = dict(bipyramid()._star_index)
+    >>> a, b = Simplex([1, 2]), Simplex([4, 5])
+    >>> kept, vanished, appeared = _move_stars(star, star[a], a, b)
+    >>> kept
+    [(1,), (2,), (4,), (5,), (1, 4), (1, 5), (2, 4), (2, 5)]
+    >>> vanished
+    [(1, 2), (1, 2, 4), (1, 2, 5)]
+    >>> appeared, star[b]
+    ([(4, 5), (1, 4, 5), (2, 4, 5)], ((2, 4, 5), (1, 4, 5)))
     """
     u = sorted(a + b + p)
     in_a = in_b = 0  # the positions of a and of b in u, as bits
@@ -150,14 +163,14 @@ def _move_stars(star: dict, gone, a: Simplex, b: Simplex, p: tuple = ()):
         elif v in b:
             in_b |= 1 << i
     faces = chain.from_iterable(combinations(u, r) for r in range(1, len(u)))
-    changed = {}
+    kept = []
     vanished = []
     appeared = []
     for c, missed in zip(faces, _missed(len(u))):
         fs = held[missed & in_a]
         if fs and missed & in_b:  # it holds neither a nor b, and stays
-            s = tuple.__new__(Simplex, c)
             star[c] = tuple([g for g in star[c] if g not in gone]) + fs
+            kept.append(tuple.__new__(Simplex, c))
         elif p:
             if not (fs or missed & in_b):
                 continue  # it holds a and b
@@ -169,9 +182,10 @@ def _move_stars(star: dict, gone, a: Simplex, b: Simplex, p: tuple = ()):
                 star[s] = fs
                 appeared.append(s)
             else:
-                kept = tuple([g for g in old if g not in gone]) + fs
-                if kept:
-                    star[c] = kept
+                rest = tuple([g for g in old if g not in gone]) + fs
+                if rest:
+                    star[c] = rest
+                    kept.append(s)
                 else:
                     del star[c]
                     vanished.append(s)
@@ -180,11 +194,9 @@ def _move_stars(star: dict, gone, a: Simplex, b: Simplex, p: tuple = ()):
             star[s] = fs
             appeared.append(s)
         else:  # it holds a
-            s = tuple.__new__(Simplex, c)
             del star[c]
-            vanished.append(s)
-        changed[s] = fs
-    return changed, vanished, appeared
+            vanished.append(tuple.__new__(Simplex, c))
+    return kept, vanished, appeared
 
 
 def _derived(k: Complex, a: Simplex, b: Simplex, apexes=((),)) -> Complex:
@@ -203,16 +215,16 @@ def _derived(k: Complex, a: Simplex, b: Simplex, apexes=((),)) -> Complex:
     """
     star = dict(k._star_index)
     gone = star[a]
-    changed = {}
+    kept = []
     vanished = []
     appeared = []
     for p in apexes:
         update = _move_stars(star, gone, a, b, p)
-        changed.update(update[0])
+        kept += update[0]
         vanished += update[1]
         appeared += update[2]
-    for s, fs in changed.items():
-        if fs and len(star[s]) > 1:
+    for s in chain(kept, appeared):
+        if len(star[s]) > 1:
             star[s] = tuple(sorted(star[s]))
     vertices = k.vertices
     lost = [s[0] for s in vanished if len(s) == 1]
@@ -360,11 +372,20 @@ class MoveSet:
     canonical fresh label of the current complex.  ``copy`` gives a move
     set of the same complex that moves on its own.
 
+    A move asks the rule, ``_co_simplex``, only at the faces that kept a
+    changed star.  A vanished face loses its move.  An appeared face b + a',
+    a' a proper part of a, is held only by the inserted facets u - x, x in
+    a - a' (u = a + b), so its link is boundary(a - a'): a facet takes a
+    subdivision, and another face has a move only when it is b, back to a,
+    which just vanished.  A
+    face linked to a face that came or went, its star unchanged, has a move
+    exactly when that face is absent now.
+
     The faces that have a move are sorted once, on construction, into one
-    list and into one list per face size; the candidate test then inserts or
-    deletes a face by bisection when it gains or loses its move, and leaves
-    the lists alone when only its b changes.  So ``faces`` and ``moves()``
-    read the lexicographic order of a without sorting anything.
+    list and into one list per face size; a move then inserts or deletes a
+    face by bisection when it gains or loses its move, and leaves the lists
+    alone when only its b changes.  So ``faces`` and ``moves()`` read the
+    lexicographic order of a without sorting anything.
     """
 
     def __init__(self, k: Complex, avoid: Complex = EMPTY, label_floor: int = -1):
@@ -386,41 +407,41 @@ class MoveSet:
         self._f = [0] * self._size
         self._moves = {}  # a -> b, or None for a facet (fresh vertex)
         self._linked = {}  # a -> b where the link of a is the boundary of b
-        self._waiting = {}  # b -> faces linked to b, tested again when b comes or goes
-        for a in self._star:
+        self._waiting = {}  # b -> the faces linked to b
+        star = self._star
+        for a, fs in star.items():
             self._f[len(a) - 1] += 1
-            b = self._candidate(a)
-            if b is not _NO_MOVE:
-                self._moves[a] = b
+            if a in self._avoided:
+                continue
+            if len(a) == self._size:
+                self._moves[a] = None
+                continue
+            b = _co_simplex(fs, a, self._size)
+            if b is not None:
+                self._link(a, b)
+                if b not in star:
+                    self._moves[a] = b
         self._order = sorted(self._moves)  # the faces that have a move
         self._sized = [[] for _ in range(self._size)]  # the same, by |a| - 1
         for a in self._order:
             self._sized[len(a) - 1].append(a)
 
-    def _candidate(self, a):
-        """The candidate test: the b of the move chi_(a, b) available at the
-        face a (None for a facet, which takes a fresh vertex), or _NO_MOVE."""
+    def _link(self, a, b):
+        self._linked[a] = b
+        self._waiting.setdefault(b, set()).add(a)
+
+    def _unlink(self, a):
         b = self._linked.pop(a, None)
         if b is not None:
             waiting = self._waiting[b]
             waiting.discard(a)
             if not waiting:
                 del self._waiting[b]
-        fs = self._star.get(a)
-        if fs is None or a in self._avoided:
-            return _NO_MOVE
-        if len(a) == self._size:
-            return None
-        b = _co_simplex(fs, a, self._size)
-        if b is None:
-            return _NO_MOVE
-        self._linked[a] = b
-        self._waiting.setdefault(b, set()).add(a)
-        return _NO_MOVE if b in self._star else b
 
-    def _test(self, a):
-        """Test the face a again, and keep the ordered lists in step."""
-        b = self._candidate(a)
+    def _mark(self, a, b):
+        """Record the move chi_(a, b) at the face a (b None for a facet,
+        which takes a fresh vertex), or with b _NO_MOVE that a has none, and
+        keep the ordered lists in step."""
         moves = self._moves
         if b is _NO_MOVE:
             if moves.pop(a, _NO_MOVE) is not _NO_MOVE:
@@ -477,20 +498,42 @@ class MoveSet:
         """Apply chi_(a, b), a move returned by ``moves()``."""
         star = self._star
         f = self._f
-        changed, vanished, appeared = _move_stars(star, star[a], a, b)
-        touched = set(changed)
+        size = self._size
+        kept, vanished, appeared = _move_stars(star, star[a], a, b)
         for s in vanished:
             f[len(s) - 1] -= 1
+            self._unlink(s)
+            self._mark(s, _NO_MOVE)
         for s in appeared:
             f[len(s) - 1] += 1
             if len(s) == 1 and s[0] > self._top:
                 self._top = s[0]
+            if len(s) == size:
+                self._mark(s, None)
+            else:
+                # the move back to a, when s is b, is given below
+                self._link(s, tuple.__new__(Simplex, [v for v in a if v not in s]))
         if (self._top,) not in star:
             self._top = max((s[0] for s in star if len(s) == 1), default=-1)
-        for s in vanished + appeared:
-            touched.update(self._waiting.get(s, ()))
-        for s in touched:
-            self._test(s)
+        linked = self._linked
+        for s in kept:
+            if s in self._avoided:
+                continue
+            c = _co_simplex(star[s], s, size)
+            if c != linked.get(s):
+                self._unlink(s)
+                if c is not None:
+                    self._link(s, c)
+            self._mark(s, _NO_MOVE if c is None or c in star else c)
+        # the faces linked to a face that came or went, their stars kept
+        # or just written, gain or lose their move by its presence alone
+        waiting = self._waiting
+        for s in vanished:
+            for w in waiting.get(s, ()):
+                self._mark(w, s)
+        for s in appeared:
+            for w in waiting.get(s, ()):
+                self._mark(w, _NO_MOVE)
 
     def complex(self) -> Complex:
         """The current complex, handed the star index, with each star sorted

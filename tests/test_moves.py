@@ -33,6 +33,7 @@ from plmoves import (
     replaced_ball,
     stellar_subdivide,
 )
+from plmoves import moves as moves_module
 from plmoves.demos import bipyramid, rp2_6, torus7
 from plmoves.moves import MoveSet
 from support import hexagon_disk
@@ -260,6 +261,9 @@ def test_moveset_follows_a_walk_like_a_fresh_scan(name, seed):
         ms.apply(a, b)
         state = apply_bistellar(state, BistellarMove(a, b))
         assert ms.complex() == state
+        # the links of the faces that came and went are written in closed
+        # form, and those linked to them only rechecked for presence
+        assert _listing(ms) == _listing(MoveSet(ms.complex(), avoid, floor))
     assert ms.f_vector == f_vector(state)
     # an independent oracle: the link test at every face outside avoid
     expected = [
@@ -415,9 +419,40 @@ def test_non_pure_complexes_derive_their_star_index_too():
 def _listing(ms):
     """What a move set says of its complex: the moves, the faces by size, the
     f-vector and the stars, as sets since a derived star keeps its own
-    order."""
+    order; and the tables it updates in place of testing again, the link
+    of each face and the faces linked to each co-simplex."""
     sized = [ms.faces(size) for size in range(1, ms._size + 1)]
-    return ms.moves(), sized, ms.f_vector, {s: set(fs) for s, fs in ms._star.items()}
+    stars = {s: set(fs) for s, fs in ms._star.items()}
+    return ms.moves(), sized, ms.f_vector, stars, ms._linked, ms._waiting
+
+
+@pytest.mark.parametrize("name", ["disk", "s3"])
+def test_only_the_faces_that_kept_a_changed_star_run_the_move_rule(name, monkeypatch):
+    # the faces that vanished or appeared, and those linked to them, are
+    # decided without the rule; the kept faces in avoid have no move
+    k, avoid, floor = _moveset_starts()[name]
+    _, walk = random_walk(k, 40, seed=1, avoid=avoid, label_floor=floor)
+    ms = MoveSet(k, avoid, floor)
+    calls = []
+    kept = []
+    rule = moves_module._co_simplex
+    update = moves_module._move_stars
+
+    def counted_rule(fs, a, size):
+        calls.append(a)
+        return rule(fs, a, size)
+
+    def recorded_update(*args):
+        out = update(*args)
+        kept.extend(s for s in out[0] if s not in avoid)
+        return out
+
+    monkeypatch.setattr(moves_module, "_co_simplex", counted_rule)
+    monkeypatch.setattr(moves_module, "_move_stars", recorded_update)
+    for record in walk:
+        ms.apply(record.move.a, record.move.b)
+    assert calls == kept
+    assert len(kept) > len(walk)
 
 
 @pytest.mark.parametrize("name", sorted(_moveset_starts()))
