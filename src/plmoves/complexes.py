@@ -8,9 +8,12 @@ routines cheap enough to run inside search loops.
 
 Public constructors validate; internal constructions are trusted.
 ``Simplex(...)``, ``Complex(...)`` and every function taking vertex labels
-from a caller check their input.  A nonempty sorted subset of a simplex, or
-the sorted union of two disjoint simplices, is a valid simplex by
-construction, so faces, link facets and joins of existing simplices are
+from a caller check their input.  Only a longer simplex can contain a
+shorter one, and two distinct simplices of one length never nest, so the
+nesting checks of ``Complex(...)`` and ``closure`` compare each simplex
+with the strictly longer ones only.  A nonempty sorted subset of a
+simplex, or the sorted union of two disjoint simplices, is a valid simplex
+by construction, so faces, link facets and joins of existing simplices are
 built with ``tuple.__new__(Simplex, vertices)`` and skip the checks.  The
 faces of a complex are enumerated once, into its star index, from which the
 face set, face membership and the boundary are all read.  A checked move
@@ -113,10 +116,14 @@ class Complex:
         else:
             fs = frozenset(_as_simplex(f) for f in facets)
             by_len = sorted(fs, key=len)
-            for i, f in enumerate(by_len):
+            # only a longer simplex can contain f: those past the last one
+            # of f's length
+            end = {len(f): i for i, f in enumerate(by_len, 1)}
+            longer = {n: by_len[i:] for n, i in end.items()}
+            for f in by_len:
                 fset = set(f)
-                for g in by_len[i + 1 :]:
-                    if len(g) > len(f) and fset <= set(g):
+                for g in longer[len(f)]:
+                    if fset <= set(g):
                         raise ValueError(
                             "facet %s is a face of facet %s; use closure()" % (f, g)
                         )
@@ -141,11 +148,21 @@ class Complex:
 
     @cached_property
     def _star_index(self):
-        # face -> sorted tuple of facets containing it
+        # face -> sorted tuple of facets containing it, the faces in the
+        # order the sorted facets first reach them, by size; a face is looked
+        # up as the plain tuple combinations yields, and made a Simplex only
+        # the first time
         idx = {}
+        get = idx.get
         for f in sorted(self._facets):
-            for s in f.subsimplices():
-                idx.setdefault(s, []).append(f)
+            for r in range(1, len(f)):
+                for c in combinations(f, r):
+                    fs = get(c)
+                    if fs is None:
+                        idx[tuple.__new__(Simplex, c)] = [f]
+                    else:
+                        fs.append(f)
+            idx[f] = [f]  # facets do not nest, so only f holds f
         return {s: tuple(fs) for s, fs in idx.items()}
 
     def simplices_of_dim(self, k):
@@ -218,13 +235,12 @@ def closure(simplices) -> Complex:
     """
     ss = sorted({_as_simplex(s) for s in simplices}, key=len, reverse=True)
     maximal = []
-    maximal_sets = []
+    longer = []  # the vertex sets of the maximal simplices longer than s
     for s in ss:
-        sset = set(s)
-        if any(sset <= m for m in maximal_sets):
-            continue
-        maximal.append(s)
-        maximal_sets.append(sset)
+        if maximal and len(s) < len(maximal[-1]):
+            longer.extend(map(set, maximal[len(longer) :]))
+        if not any(map(set(s).issubset, longer)):
+            maximal.append(s)
     return Complex(maximal, _trusted=True)
 
 

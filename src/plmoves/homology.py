@@ -34,8 +34,10 @@ Homology is unreduced and computed over Z, so torsion comes out exactly
 With ``check=True`` (the default) these cross-checks run, each named with
 the failure it sees:
 
-- boundary of boundary vanishes on the face-index table: a wrong face row
-  or sign in the table;
+- the simplicial identities d_i d_j = d_(j-1) d_i (i < j) hold on the
+  face-index table, compared for all columns of a dimension at once; they
+  imply that boundary of boundary vanishes: a wrong face row or sign in the
+  table;
 - boundary of boundary vanishes on the Morse complex: a wrong gradient
   path, coefficient or sign;
 - every rank the Smith normal form reports equals the rank over Q, found
@@ -46,7 +48,9 @@ the failure it sees:
   divides that minor, so over Z/m it keeps its value, and elimination mod
   m by extended-gcd steps needs no factoring and keeps the numbers small:
   a dropped, spurious or misreported factor, such as a lost Z/2 of the
-  projective plane, a lost Z/3, or Z/4 reported for Z/2;
+  projective plane, a lost Z/3, or Z/4 reported for Z/2.  A Morse matrix
+  with no entry is checked in closed form, rank 0 and no factor, with the
+  same messages;
 - b_d <= c_d, the weak Morse inequality, c_d being the number of critical
   d-cells: a Betti number above what the Morse complex can carry;
 - the alternating sum of the Betti numbers equals the Euler characteristic
@@ -61,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations, groupby, repeat
 from math import comb, gcd
 
 from . import _kernel
@@ -135,35 +139,42 @@ def _face_index(k: Complex):
     ``bases[d - 1]`` of the faces of ``bases[d][col]``, the i-th entry being
     the face without the i-th vertex, whose boundary sign is (-1)^i.
     """
-    bases = [[] for _ in range(k.dim + 1)]
-    for s in k._star_index:
-        bases[len(s) - 1].append(s)
-    for basis in bases:
-        basis.sort()
+    # a nonempty complex has simplices of every dimension up to its own
+    by_size = groupby(sorted(k._star_index, key=len), len)
+    bases = [sorted(group) for _, group in by_size]
     faces = [()]
     for d in range(1, len(bases)):
-        row = {s: i for i, s in enumerate(bases[d - 1])}.__getitem__
-        # combinations omit the last vertex first, hence the reversal
-        faces.append([tuple(map(row, combinations(s, d)))[::-1] for s in bases[d]])
+        row = dict(zip(bases[d - 1], range(len(bases[d - 1])))).__getitem__
+        # combinations omit the last vertex first; read backwards, the faces
+        # of each simplex come out omitting its first vertex first
+        backwards = chain.from_iterable(map(combinations, reversed(bases[d]), repeat(d)))
+        rows = list(map(row, backwards))
+        rows.reverse()
+        faces.append(list(zip(*[iter(rows)] * (d + 1))))
     return bases, faces
 
 
 def _check_chain_complex(bases, faces):
-    """Assert boundary-of-boundary vanishes, composing consecutive tables
-    column by column over the sparse sign structure."""
+    """Assert the simplicial identities d_i d_j = d_(j-1) d_i (i < j) on the
+    table: face i of face j of a simplex, and face j - 1 of its face i, are
+    both the simplex without its i-th and j-th vertices.  Summed with the
+    signs (-1)^(i+j), the two sides cancel, so boundary of boundary
+    vanishes wherever the identities hold.  Each identity is compared on
+    all columns of a dimension at once, as two strided slices of one list."""
     for d in range(2, len(faces)):
-        lower = faces[d - 1]
-        for col, rows in enumerate(faces[d]):
-            acc = {}
-            outer_sign = 1
-            for r in rows:
-                inner_sign = outer_sign
-                for q in lower[r]:
-                    acc[q] = acc.get(q, 0) + inner_sign
-                    inner_sign = -inner_sign
-                outer_sign = -outer_sign
-            if any(acc.values()):
-                raise AssertionError("boundary of boundary nonzero at %s" % (bases[d][col],))
+        # the rows of the faces of the faces: face k of face i of column
+        # col sits at col * stride + i * d + k
+        stride = (d + 1) * d
+        lower = faces[d - 1].__getitem__
+        rows = list(chain.from_iterable(map(lower, chain.from_iterable(faces[d]))))
+        sides = [(j * d + i, i * d + j - 1) for j in range(1, d + 1) for i in range(j)]
+        if any(rows[a::stride] != rows[b::stride] for a, b in sides):
+            col = next(
+                col
+                for col, at in enumerate(range(0, len(rows), stride))
+                if any(rows[at + a] != rows[at + b] for a, b in sides)
+            )
+            raise AssertionError("boundary of boundary nonzero at %s" % (bases[d][col],))
 
 
 def _component_count(bases, faces) -> int:
@@ -212,9 +223,40 @@ def _collapse(bases, faces):
     left = [len(basis) for basis in bases]
     critical = [[] for _ in bases]
     free = [(d, i) for d in range(n) for i, c in enumerate(live[d]) if c == 1]
-
-    def remove(d, i, mate):
-        up[d][i] = mate
+    # a removed d-cell is marked in up and leaves the live counts and column
+    # sums of its faces, any of which may become free
+    top, lowest, pairs = n, 0, 0
+    while True:
+        if free:
+            d, i = free.pop()
+            counts, sums = live[d], column_sum[d]
+            if up[d][i] != _ALIVE or counts[i] != 1:
+                continue
+            col = sums[i]
+            when[d][i] = pairs
+            pairs += 1
+            # the coface col goes first, and i with it loses its last coface
+            up[d + 1][col], up[d][i] = -2, col
+            left[d + 1] -= 1
+            for r in faces[d + 1][col]:
+                counts[r] -= 1
+                sums[r] -= col
+                if counts[r] == 1:
+                    free.append((d, r))
+        else:
+            # no face is free: the lowest live cell of the highest live
+            # dimension becomes critical
+            while top >= 0 and not left[top]:
+                top -= 1
+                lowest = 0
+            if top < 0:
+                return critical, up, when
+            cells = up[top]
+            while cells[lowest] != _ALIVE:
+                lowest += 1
+            critical[top].append(lowest)
+            d, i = top, lowest
+            cells[i] = -1
         left[d] -= 1
         if d:
             counts, sums = live[d - 1], column_sum[d - 1]
@@ -223,27 +265,6 @@ def _collapse(bases, faces):
                 sums[r] -= i
                 if counts[r] == 1:
                     free.append((d - 1, r))
-
-    top, lowest, pairs = n, 0, 0
-    while True:
-        while free:
-            d, i = free.pop()
-            if up[d][i] == _ALIVE and live[d][i] == 1:
-                col = column_sum[d][i]
-                when[d][i] = pairs
-                pairs += 1
-                remove(d + 1, col, -2)
-                remove(d, i, col)
-        while top >= 0 and not left[top]:
-            top -= 1
-            lowest = 0
-        if top < 0:
-            return critical, up, when
-        cells = up[top]
-        while cells[lowest] != _ALIVE:
-            lowest += 1
-        critical[top].append(lowest)
-        remove(top, lowest, -1)
 
 
 def _morse_boundaries(faces, critical, up, when):
@@ -404,18 +425,22 @@ def _check_snf(entries, nrows, ncols, rank, torsion):
     """Assert a Smith normal form summary against what is computed here: the
     rank over Q, and every invariant factor, found over Z/m for m twice the
     nonzero rank x rank minor of the elimination.  Each factor divides that
-    minor and is below m, so over Z/m it keeps its value."""
-    matrix = [[0] * ncols for _ in range(nrows)]
-    for i, j, v in entries:
-        matrix[i][j] = v
-    exact, minor = _bareiss(matrix)
+    minor and is below m, so over Z/m it keeps its value.  A matrix with no
+    entry is checked in closed form: rank 0 and no factor."""
+    if entries:
+        matrix = [[0] * ncols for _ in range(nrows)]
+        for i, j, v in entries:
+            matrix[i][j] = v
+        exact, minor = _bareiss(matrix)
+        m = 2 * abs(minor)
+        found = _smith_mod(matrix, m)
+    else:
+        exact, m, found = 0, 2, []  # the zero matrix: rank 0, minor 1, no factor
     if rank != exact:
         raise AssertionError(
             "Smith normal form rank %d of a %dx%d Morse matrix, rank over Q %d"
             % (rank, nrows, ncols, exact)
         )
-    m = 2 * abs(minor)
-    found = _smith_mod(matrix, m)
     if found != [1] * (rank - len(torsion)) + list(torsion):
         raise AssertionError(
             "invariant factors %s of a %dx%d Morse matrix of rank %d, over Z/%d the "

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 from plmoves import EMPTY, Complex, join, stellar_subdivide
+from plmoves.complexes import _as_simplex
 
 
 def hexagon_disk() -> Complex:
@@ -43,3 +44,64 @@ def run_cli(argv, stdin=None):
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
+
+
+# Plain-loop references for the face-lattice code, which the tests compare
+# against: one Simplex per (facet, face) pair for the star index, a summed
+# boundary of boundary per column for the table check, and every simplex
+# tested against every other for nesting.
+
+
+def reference_star_index(k: Complex):
+    """face -> sorted tuple of facets containing it."""
+    idx = {}
+    for f in sorted(k.facets):
+        for s in f.subsimplices():
+            idx.setdefault(s, []).append(f)
+    return {s: tuple(fs) for s, fs in idx.items()}
+
+
+def reference_check_chain_complex(bases, faces):
+    """Assert boundary-of-boundary vanishes, composing consecutive tables
+    column by column over the sparse sign structure."""
+    for d in range(2, len(faces)):
+        lower = faces[d - 1]
+        for col, rows in enumerate(faces[d]):
+            acc = {}
+            outer_sign = 1
+            for r in rows:
+                inner_sign = outer_sign
+                for q in lower[r]:
+                    acc[q] = acc.get(q, 0) + inner_sign
+                    inner_sign = -inner_sign
+                outer_sign = -outer_sign
+            if any(acc.values()):
+                raise AssertionError("boundary of boundary nonzero at %s" % (bases[d][col],))
+
+
+def reference_complex(facets) -> Complex:
+    """``Complex(facets)``, validated pairwise."""
+    fs = frozenset(_as_simplex(f) for f in facets)
+    by_len = sorted(fs, key=len)
+    for i, f in enumerate(by_len):
+        fset = set(f)
+        for g in by_len[i + 1 :]:
+            if len(g) > len(f) and fset <= set(g):
+                raise ValueError(
+                    "facet %s is a face of facet %s; use closure()" % (f, g)
+                )
+    return Complex(fs, _trusted=True)
+
+
+def reference_closure(simplices) -> Complex:
+    """The complex generated by a family of simplices."""
+    ss = sorted({_as_simplex(s) for s in simplices}, key=len, reverse=True)
+    maximal = []
+    maximal_sets = []
+    for s in ss:
+        sset = set(s)
+        if any(sset <= m for m in maximal_sets):
+            continue
+        maximal.append(s)
+        maximal_sets.append(sset)
+    return Complex(maximal, _trusted=True)

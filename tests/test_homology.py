@@ -202,6 +202,18 @@ def test_snf_check_sees_every_invariant_factor():
             _check_snf(entries, 2, 2, 2, wrong)
 
 
+def test_snf_check_of_a_matrix_with_no_entry():
+    # checked in closed form: rank 0 and no invariant factor, in the
+    # messages the elimination gives
+    with pytest.raises(AssertionError, match=r"rank 1 of a 1x0 Morse matrix, rank over Q 0"):
+        _check_snf([], 1, 0, 1, ())
+    lost = r"invariant factors \[2\] .* over Z/2 the factors are \[\]"
+    with pytest.raises(AssertionError, match=lost):
+        _check_snf([], 0, 1, 0, (2,))
+    for nrows, ncols in [(0, 0), (1, 0), (0, 1), (2, 3)]:
+        _check_snf([], nrows, ncols, 0, ())
+
+
 # The full-matrix implementation, kept as the reference: it slices every
 # face (and every face of a face) from sorted bases, runs the Smith normal
 # form on every boundary matrix, and counts the Euler characteristic in a
