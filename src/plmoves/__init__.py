@@ -59,7 +59,6 @@ from .filtration import (
     count_move_schemas,
     enumerate_extended_moves,
     extended_applicable,
-    find_filtered_suspension,
     suspension_from_links,
     validate_filtration,
 )
@@ -84,7 +83,6 @@ from .moves import (
     bistellar_applicable,
     enumerate_moves,
     inserted_ball,
-    inverse_move,
     replaced_ball,
 )
 from .search import (

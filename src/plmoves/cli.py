@@ -412,6 +412,9 @@ def main(argv=None) -> int:
     except (MoveError, SearchError, FiltrationError, StarkError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory in %s" % args.command, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -59,9 +59,6 @@ class Simplex(tuple):
     def dim(self):
         return len(self) - 1
 
-    def is_face_of(self, other):
-        return set(self) <= set(other)
-
     def boundary_faces(self):
         """The codimension-1 faces, in lexicographic order."""
         if len(self) == 1:
@@ -69,20 +66,6 @@ class Simplex(tuple):
         return tuple(
             tuple.__new__(Simplex, f) for f in combinations(self, len(self) - 1)
         )
-
-    def subsimplices(self):
-        """All nonempty faces, including the simplex itself."""
-        return [
-            tuple.__new__(Simplex, c)
-            for r in range(1, len(self) + 1)
-            for c in combinations(self, r)
-        ]
-
-    def without(self, v):
-        rest = [x for x in self if x != v]
-        if not rest:
-            raise ValueError("a simplex needs at least one vertex")
-        return tuple.__new__(Simplex, rest)
 
     def joined(self, other):
         """The join with a disjoint simplex; ``other`` is validated unless it
@@ -217,11 +200,6 @@ class Complex:
 
     def is_subcomplex_of(self, other: "Complex"):
         return all(f in other._star_index for f in self._facets)
-
-    def restrict_to_vertices(self, verts):
-        """Induced subcomplex on a vertex set (full faces only)."""
-        vs = set(verts)
-        return closure(s for s in self.simplices if set(s) <= vs)
 
 
 EMPTY = Complex([])

@@ -25,7 +25,7 @@ says so rather than pretending to check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .complexes import (
     Complex,
@@ -142,62 +142,6 @@ def validate_filtration(fc: FilteredComplex) -> FiltrationReport:
         findings=tuple(findings),
         notes=("local flatness of strata is assumed, not checked",),
     )
-
-
-def stratum_of(fc: FilteredComplex, s) -> int:
-    """The least k with s a simplex of M_k."""
-    s = _as_simplex(s)
-    for k, m in enumerate(fc.strata):
-        if s in m:
-            return k
-    raise FiltrationError("%s is not a simplex of the complex" % (s,))
-
-
-def find_filtered_suspension(fc: FilteredComplex, ball: Complex, k: int | None = None):
-    """The lexicographically least iterated filtered suspension of ``ball``.
-
-    Searches, level by level, for apex pairs (plus < minus) drawn from the
-    vertices of M_{l+1} outside M_l such that the join of the suspended ball
-    with both apexes is a subcomplex of M_{l+1}.  Returns SuspensionData or
-    None.  ``k`` defaults to the dimension of the ball.
-    """
-    if k is None:
-        k = ball.dim
-    if k < 0 or k > fc.n:
-        raise FiltrationError("ball dimension %d outside the filtration" % k)
-    if not ball.is_subcomplex_of(fc.strata[k]):
-        raise FiltrationError("ball is not a subcomplex of stratum %d" % k)
-
-    def extend(level, current):
-        if level == fc.n:
-            return ()
-        upper = fc.strata[level + 1]
-        lower_vertices = fc.strata[level].vertices
-        candidates = sorted(
-            v
-            for v in upper.vertices
-            if v not in lower_vertices and v not in current.vertices
-        )
-        usable = [
-            v
-            for v in candidates
-            if all(
-                f.joined(tuple.__new__(Simplex, (v,))) in upper for f in current.facets
-            )
-        ]
-        for plus, minus in combinations(usable, 2):
-            bigger = join(
-                current, Complex([Simplex([plus]), Simplex([minus])], _trusted=True)
-            )
-            rest = extend(level + 1, bigger)
-            if rest is not None:
-                return ((plus, minus),) + rest
-        return None
-
-    found = extend(k, ball)
-    if found is None:
-        return None
-    return SuspensionData(k, found)
 
 
 def _is_fresh_inner(fc: FilteredComplex, inner: BistellarMove) -> bool:

@@ -167,14 +167,18 @@ def _check_chain_complex(bases, faces):
         stride = (d + 1) * d
         lower = faces[d - 1].__getitem__
         rows = list(chain.from_iterable(map(lower, chain.from_iterable(faces[d]))))
-        sides = [(j * d + i, i * d + j - 1) for j in range(1, d + 1) for i in range(j)]
-        if any(rows[a::stride] != rows[b::stride] for a, b in sides):
-            col = next(
-                col
+        pairs = [(i, j) for j in range(1, d + 1) for i in range(j)]
+        if any(rows[j * d + i :: stride] != rows[i * d + j - 1 :: stride] for i, j in pairs):
+            col, i, j = next(
+                (col, i, j)
                 for col, at in enumerate(range(0, len(rows), stride))
-                if any(rows[at + a] != rows[at + b] for a, b in sides)
+                for i, j in pairs
+                if rows[at + j * d + i] != rows[at + i * d + j - 1]
             )
-            raise AssertionError("boundary of boundary nonzero at %s" % (bases[d][col],))
+            raise AssertionError(
+                "simplicial identity d_%d d_%d = d_%d d_%d fails at %s"
+                % (i, j, j - 1, i, bases[d][col])
+            )
 
 
 def _component_count(bases, faces) -> int:

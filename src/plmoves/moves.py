@@ -346,10 +346,6 @@ def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
     return out
 
 
-def inverse_move(move: BistellarMove) -> BistellarMove:
-    return move.inverse()
-
-
 def replaced_ball(move: BistellarMove) -> Complex:
     """The ball [a * boundary(b)] that the move removes (its closed star)."""
     return join(simplex_complex(move.a), simplex_boundary(move.b))

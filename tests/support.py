@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 
-from plmoves import EMPTY, Complex, join, stellar_subdivide
+from itertools import combinations
+
+from plmoves import EMPTY, Complex, Simplex, join, stellar_subdivide
 from plmoves.complexes import _as_simplex
 
 
@@ -52,11 +54,21 @@ def run_cli(argv, stdin=None):
 # tested against every other for nesting.
 
 
+def subsimplices(s):
+    """All nonempty faces of the simplex s, s itself included."""
+    return [Simplex(c) for r in range(1, len(s) + 1) for c in combinations(s, r)]
+
+
+def without(s, v):
+    """The face of the simplex s opposite its vertex v."""
+    return Simplex(x for x in s if x != v)
+
+
 def reference_star_index(k: Complex):
     """face -> sorted tuple of facets containing it."""
     idx = {}
     for f in sorted(k.facets):
-        for s in f.subsimplices():
+        for s in subsimplices(f):
             idx.setdefault(s, []).append(f)
     return {s: tuple(fs) for s, fs in idx.items()}
 

@@ -23,6 +23,7 @@ from plmoves import (
     apply_bistellar,
     apply_extended_bistellar,
     boundary_of_simplex,
+    cli,
     document_for_complex,
     document_for_filtered,
     emit_document,
@@ -185,6 +186,20 @@ def test_invariants_text_and_structured():
     assert data["X"]["f"] == [6, 15, 10]
     assert data["X"]["chi"] == 1
     assert data["X"]["homology"][1] == {"betti": 0, "torsion": [2]}
+
+
+def test_running_out_of_memory_is_a_declared_error(monkeypatch):
+    def exhausted(k):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "homology", exhausted)
+    code, out, err = run_cli(
+        ["invariants", "--input", "-", "--format", "structured"], stdin=demo_text("rp2-6")
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory in invariants\n"
+    assert "Traceback" not in err
 
 
 def test_invariants_filtered_reports_strata():

@@ -45,10 +45,6 @@ def test_simplex_faces_and_join():
     s = Simplex([1, 2, 3])
     assert s.boundary_faces() == ((1, 2), (1, 3), (2, 3))
     assert Simplex([4]).boundary_faces() == ()
-    assert len(s.subsimplices()) == 7
-    assert s.without(2) == (1, 3)
-    assert s.is_face_of((1, 2, 3, 4))
-    assert not s.is_face_of((1, 2))
     assert Simplex([1, 2]).joined(Simplex([5])) == (1, 2, 5)
     assert Simplex([3, 4]).joined((2, 1)) == (1, 2, 3, 4)
     with pytest.raises(ValueError, match="non-disjoint"):
@@ -60,13 +56,10 @@ def test_simplex_faces_and_join():
         Simplex([1, 2]).joined((3, -1))
     with pytest.raises(ValueError, match="duplicate vertex"):
         Simplex([1, 2]).joined((3, 3))
-    with pytest.raises(ValueError, match="at least one vertex"):
-        Simplex([4]).without(4)
     # faces and joins built without re-validation are still Simplex values
     built = (
         list(s.boundary_faces())
-        + s.subsimplices()
-        + [s.without(1), s.joined(Simplex([7]))]
+        + [s.joined(Simplex([7]))]
         + [f for f in link([1], boundary_of_simplex(3)).facets]
     )
     assert all(type(f) is Simplex for f in built)
@@ -95,7 +88,6 @@ def test_complex_basic_queries():
     assert [2, 2] not in k  # invalid simplex is simply absent
     assert k.simplices_of_dim(1) == [(1, 2), (1, 3), (2, 3), (3, 4)]
     assert k.facets_containing((3,)) == ((1, 2, 3), (3, 4))
-    assert k.restrict_to_vertices({1, 2, 3}) == Complex([(1, 2, 3)])
 
 
 def test_empty_complex_is_falsy_identity():

@@ -66,7 +66,9 @@ def _failure(check, bases, table):
     try:
         check(bases, table)
     except AssertionError as e:
-        text = re.fullmatch(r"boundary of boundary nonzero at \((.*)\)", str(e)).group(1)
+        text = re.fullmatch(
+            r"(?:boundary of boundary nonzero|simplicial identity .*) at \((.*)\)", str(e)
+        ).group(1)
         s = tuple(int(v) for v in text.strip(",").split(","))
         return len(s) - 1, bases[len(s) - 1].index(s)
     return None
@@ -120,10 +122,27 @@ def test_the_table_check_names_the_lowest_failing_column():
         rows = list(table[3][col])
         rows[0], rows[1] = rows[1], rows[0]
         table[3][col] = tuple(rows)
-    message = "boundary of boundary nonzero at %s" % (bases[3][2],)
-    for check in (_check_chain_complex, reference_check_chain_complex):
-        with pytest.raises(AssertionError, match=re.escape(message)):
+    # d_0 d_1 = d_0 d_0 survives the swap; d_0 d_2 = d_1 d_0 is the first
+    # identity it breaks
+    messages = {
+        _check_chain_complex: "simplicial identity d_0 d_2 = d_1 d_0 fails at %s",
+        reference_check_chain_complex: "boundary of boundary nonzero at %s",
+    }
+    for check, message in messages.items():
+        with pytest.raises(AssertionError, match=re.escape(message % (bases[3][2],))):
             check(bases, table)
+
+
+def test_the_table_check_names_a_wrong_layout_with_no_boundary_of_boundary():
+    bases, faces = _face_index(Complex([(0, 1, 2)]))
+    table = [list(t) for t in faces]
+    # the triangle's faces listed in ascending order, where the layout
+    # lists face i (the one without vertex i) at position i
+    table[2][0] = tuple(reversed(table[2][0]))
+    reference_check_chain_complex(bases, table)  # the signs still cancel
+    message = "simplicial identity d_0 d_1 = d_0 d_0 fails at (0, 1, 2)"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        _check_chain_complex(bases, table)
 
 
 def _outcome(build, family):

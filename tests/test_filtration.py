@@ -21,13 +21,11 @@ from plmoves import (
     enumerate_extended_moves,
     euler_characteristic,
     extended_applicable,
-    find_filtered_suspension,
     stellar_subdivide,
     suspension_from_links,
     validate_filtration,
 )
 from plmoves.demos import bipyramid, filtered_s2_equator, filtered_s3_equatorial_s2
-from plmoves.filtration import stratum_of
 from support import pair_complex_through
 
 
@@ -71,15 +69,6 @@ def test_validate_filtration_flags_bad_strata():
     )
     mixed = FilteredComplex((EMPTY, Complex([(1, 2), (3,)]), cone(Complex([(1, 2), (3,)]), 6)))
     assert any("not pure" in f for f in validate_filtration(mixed).findings)
-
-
-def test_stratum_of():
-    fc = filtered_s2_equator()
-    assert stratum_of(fc, (1, 2)) == 1
-    assert stratum_of(fc, (1, 4)) == 2
-    assert stratum_of(fc, (4,)) == 2
-    with pytest.raises(FiltrationError, match="not a simplex"):
-        stratum_of(fc, (4, 5))
 
 
 def test_suspension_data_pair_complex():
@@ -198,18 +187,6 @@ def test_suspension_from_links_forces_the_apexes():
     fc3 = filtered_s3_equatorial_s2()
     susp3 = suspension_from_links(fc3, (1, 2, 3), None, 2)
     assert susp3 == SuspensionData(2, ((5, 6),))
-
-
-def test_find_filtered_suspension():
-    fc = filtered_s2_equator()
-    ball = Complex([(1, 2)])
-    susp = find_filtered_suspension(fc, ball)
-    assert susp == SuspensionData(1, ((4, 5),))
-    with pytest.raises(FiltrationError, match="not a subcomplex"):
-        find_filtered_suspension(fc, Complex([(1, 4)]), k=1)
-    # nothing suspends a ball sitting in the top stratum
-    top_ball = Complex([(1, 2, 4)])
-    assert find_filtered_suspension(fc, top_ball) == SuspensionData(2, ())
 
 
 def test_ball_times_interval_edge():

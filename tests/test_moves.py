@@ -26,7 +26,6 @@ from plmoves import (
     filtered_s3_equatorial_s2,
     fresh_vertex,
     inserted_ball,
-    inverse_move,
     random_extended_walk,
     random_walk,
     reduce,
@@ -45,7 +44,6 @@ def test_move_data_and_inverse():
     assert m.k == 1
     assert m.n == 2
     assert m.inverse() == BistellarMove((3, 4), (1, 2))
-    assert inverse_move(m) == m.inverse()
     assert str(m) == "chi([1, 2], [3, 4])"
     with pytest.raises(MoveError, match="disjoint"):
         BistellarMove((1, 2), (2, 3))

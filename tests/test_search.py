@@ -47,7 +47,7 @@ from plmoves.demos import (
 )
 from plmoves.moves import MoveSet, _inserted_facets
 from plmoves.search import _FacetTexts, _fresh_without
-from support import disk_with_interior_triangle, hexagon_disk
+from support import disk_with_interior_triangle, hexagon_disk, without
 
 
 def test_state_fingerprint_is_label_sensitive_and_stable():
@@ -488,7 +488,7 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
 
 def _checked_rebuild(k, a, b):
     # the rebuild apply_bistellar made before it read the star index
-    added = [b] if len(a) == 1 else [a.without(x).joined(b) for x in a]
+    added = [b] if len(a) == 1 else [without(a, x).joined(b) for x in a]
     return Complex([f for f in k.facets if not set(a) <= set(f)] + added)
 
 

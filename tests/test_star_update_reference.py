@@ -19,7 +19,7 @@ from plmoves import (
 )
 from plmoves.demos import filtered_s2_equator, filtered_s3_equatorial_s2, rp2_6, torus7
 from plmoves.moves import MoveSet, _inserted_facets, _move_stars
-from support import hexagon_disk, pair_complex_through
+from support import hexagon_disk, pair_complex_through, subsimplices
 
 
 def _replace_in_stars(star, gone, inserted):
@@ -34,10 +34,10 @@ def _replace_in_stars(star, gone, inserted):
     """
     changed = {}
     for facet in inserted:
-        for s in facet.subsimplices():
+        for s in subsimplices(facet):
             changed.setdefault(s, []).append(facet)
     for facet in gone:
-        for s in facet.subsimplices():
+        for s in subsimplices(facet):
             changed.setdefault(s, [])
     gone = set(gone)
     vanished = []
