@@ -5,7 +5,7 @@ construction.
 Commands read the document named by --input (default "-", standard input)
 and write results to standard output.  Commands whose output is a document
 or a certificate always emit canonical JSON so they compose in pipelines;
-validate, invariants, "moves list", and reduce honor --format.
+only validate, invariants, "moves list", and reduce take --format.
 
 Exit codes: 0 success/valid, 1 invalid or not found, 2 usage or schema
 errors.
@@ -23,6 +23,7 @@ from .demos import DEMO_NAMES, demo_document
 from .documents import (
     ComplexDocument,
     DocumentError,
+    _move_json,
     document_for_complex,
     document_for_filtered,
     document_to_json,
@@ -199,8 +200,6 @@ def _cmd_moves_list(args) -> int:
         records = [MoveRecord("bistellar", m) for m in enumerate_moves(k, avoid=avoid)]
     records.sort(key=_move_line)
     if args.format == "structured":
-        from .documents import _move_json
-
         return _emit_json([_move_json(r) for r in records])
     for record in records:
         print(_move_line(record))
@@ -332,27 +331,31 @@ def _parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("a budget cannot be negative, got %s" % text)
         return int(text)
 
-    def add_common(p, target=False, search_flags=False):
+    def add_common(p, target=False, search_flags=False, report=False):
         p.add_argument("--input", default="-", help="document file, - for stdin")
-        p.add_argument(
-            "--format",
-            choices=("text", "structured"),
-            default="text",
-            help="report style where the command is not already JSON",
-        )
+        if report:
+            p.add_argument(
+                "--format",
+                choices=("text", "structured"),
+                default="text",
+                help="report as text or as JSON",
+            )
         if target:
             p.add_argument("--target", required=True, help="goal document file")
         if search_flags:
             p.add_argument("--depth", type=count, default=8, help="certificate length cap")
             p.add_argument("--nodes", type=count, default=2_000_000, help="search state cap")
 
-    add_common(sub.add_parser("validate", help="structural validation report"))
-    add_common(sub.add_parser("invariants", help="f-vector, Euler characteristic, homology"))
+    add_common(sub.add_parser("validate", help="structural validation report"), report=True)
+    add_common(
+        sub.add_parser("invariants", help="f-vector, Euler characteristic, homology"),
+        report=True,
+    )
 
     moves = sub.add_parser("moves", help="list applicable moves or replay a certificate")
     moves_sub = moves.add_subparsers(dest="moves_command", required=True)
     listing = moves_sub.add_parser("list", help="applicable moves, one per line")
-    add_common(listing)
+    add_common(listing, report=True)
     listing.add_argument("--extended", action="store_true", help="extended moves of a filtered document")
     listing.add_argument("--avoid", help="subcomplex document whose simplices moves must not touch")
     apply_parser = moves_sub.add_parser("apply", help="replay a certificate against the input")
@@ -367,7 +370,7 @@ def _parser() -> argparse.ArgumentParser:
     add_common(align_parser, target=True, search_flags=True)
 
     reduce_parser = sub.add_parser("reduce", help="drive a complex toward the boundary-simplex form")
-    add_common(reduce_parser)
+    add_common(reduce_parser, report=True)
     reduce_parser.add_argument("--moves", type=count, default=600, help="move budget")
     reduce_parser.add_argument("--seed", type=int, default=0, help="tie-breaking seed")
 

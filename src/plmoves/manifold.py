@@ -2,39 +2,41 @@
 manifolds.
 
 The pseudomanifold test (every ridge in at most two top-dimensional facets)
-is exact in all dimensions.  Sphere and ball recognition is exact for
-complexes of dimension at most two, where the classification of surfaces
-settles everything; in dimension three and above it falls back on
-``moves.greedy_reduction``, the one greedy bistellar reducer, which
-``reduce`` runs too: reaching the boundary of a simplex proves a sphere, and
-a stall alone can only ever answer "unknown".  Ball recognition, in every
-dimension, cones off the boundary sphere and sphere-checks the result: if
-K + c * boundary(K) is a PL sphere, K is that sphere less the open star of
-the cone point c, a PL ball by Newman's theorem.
+is exact in all dimensions.  The sphere-or-ball verdict takes one path in
+every dimension.  A 0-complex is decided by its number of points.  Above
+that, purity and connectedness are checked once; a graph is then a circle
+or an arc exactly when no vertex lies in three edges, and from dimension two
+up no ridge may lie in three facets.  A surface is a sphere or a disk, by
+the classification of surfaces, exactly when its vertex links are circles
+or arcs and its Euler characteristic is 2, or 1 when it has boundary.
 
-In the closed case of dimension three and up, the reduction runs first,
-after the cheap tests of purity, connectedness and ridges.  Reaching the
-boundary of a simplex by bistellar moves proves a PL sphere, and on a PL
-sphere no exact necessary condition can fail, so the answer is YES at once.
-Only when the reduction stalls do the homology of a sphere and the vertex
-links run; they turn the stall into NO, or leave it UNKNOWN.
+In dimension three and above the verdict falls back on
+``moves.greedy_reduction``, the one greedy bistellar reducer, which
+``reduce`` runs too.  A closed complex is reduced first: reaching the
+boundary of a simplex proves a PL sphere, on which no exact necessary
+condition can fail, so the answer is YES at once.  Only a stall runs the
+homology of a sphere and the vertex links; they turn it into NO, or leave it
+UNKNOWN.  A complex K with boundary needs the homology of a point and a
+sphere for boundary, and is a ball when coning off that boundary gives a
+sphere: K is then that sphere less the open star of the cone point, a PL
+ball by Newman's theorem.
 
 A complex is reported as a combinatorial manifold when every vertex link
 passes its sphere-or-ball check; links of higher-dimensional simplices are
 links of vertices inside those links, so nothing further needs checking.
-
-Each link gets one verdict per check.  The recursion reaches lk(vw, K) once
-from v and once from w, so every top-level call (a manifold check, or one
-public ``sphere_or_ball_verdict``) keeps a table from (facet set, expected
-dimension) to verdict, and the table dies with the call.  Ridge
-multiplicities, for the pseudomanifold test and the ridge conditions inside
-the verdict, are read from the star index by one helper.
+One generator walks the vertex links, for surfaces, for stalled closed
+complexes and for the manifold check.  Each link gets one verdict per check:
+the recursion reaches lk(vw, K) once from v and once from w, so every
+top-level call keeps a table from (facet set, expected dimension) to
+verdict, and the table dies with the call.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .complexes import EMPTY, Complex, Simplex, cone, fresh_vertex, link
 from .homology import euler_characteristic, homology, minimal_sphere_f_vector
@@ -91,30 +93,6 @@ def _is_connected(k: Complex) -> bool:
     return len(seen) == len(verts)
 
 
-def _vertex_degrees(k: Complex):
-    deg = {v: 0 for v in k.vertices}
-    for f in k.facets:
-        if len(f) == 2:
-            deg[f[0]] += 1
-            deg[f[1]] += 1
-    return deg
-
-
-def _circle_or_arc(k: Complex):
-    """Classify a 1-complex: 'circle', 'arc', or None."""
-    if not k or k.dim != 1 or not k.is_pure or not _is_connected(k):
-        return None
-    deg = _vertex_degrees(k)
-    ones = sum(1 for d in deg.values() if d == 1)
-    if any(d > 2 for d in deg.values()):
-        return None
-    if ones == 0:
-        return "circle"
-    if ones == 2:
-        return "arc"
-    return None
-
-
 def _crowded_ridges(k: Complex):
     """Sorted (ridge, count) for each ridge of ``k`` that lies in more than
     two top-dimensional facets, read from the star index.  A face with dim(k)
@@ -124,32 +102,6 @@ def _crowded_ridges(k: Complex):
     return sorted(
         (r, len(fs)) for r, fs in k._star_index.items() if len(r) == n and len(fs) > 2
     )
-
-
-def _surface_kind(k: Complex, verdicts: dict):
-    """Classify a 2-complex as 'sphere', 'disk', or None, exactly."""
-    if k.dim != 2 or not k.is_pure or not _is_connected(k):
-        return None
-    if _crowded_ridges(k):
-        return None
-    for v in k.vertices:
-        if _verdict(link(tuple.__new__(Simplex, (v,)), k), 1, verdicts)[0] is Verdict.NO:
-            return None
-    boundary = k.boundary_complex
-    if not boundary:
-        return "sphere" if euler_characteristic(k) == 2 else None
-    if _circle_or_arc(boundary) != "circle":
-        return None
-    return "disk" if euler_characteristic(k) == 1 else None
-
-
-def _sphere_homology_ok(k: Complex, d: int) -> bool:
-    hs = homology(k)
-    for i, h in enumerate(hs):
-        want = 1 if i in (0, d) else 0
-        if h.betti != want or h.torsion:
-            return False
-    return True
 
 
 def sphere_or_ball_verdict(k: Complex, expect_dim: int):
@@ -177,6 +129,24 @@ def _verdict(k: Complex, expect_dim: int, verdicts: dict):
     return found
 
 
+def _link_verdicts(k: Complex, verdicts: dict):
+    """(vertex, verdict) for each vertex of ``k`` in order, its link asked
+    to be a sphere or ball one dimension down."""
+    for v in sorted(k.vertices):
+        vertex = tuple.__new__(Simplex, (v,))
+        yield vertex, _verdict(link(vertex, k), k.dim - 1, verdicts)[0]
+
+
+def _homology_ok(k: Complex, closed: bool) -> bool:
+    """Whether ``k`` has the integral homology of a sphere of its dimension
+    (``closed``) or of a point."""
+    top = k.dim if closed else 0
+    return all(
+        h.betti == (1 if i in (0, top) else 0) and not h.torsion
+        for i, h in enumerate(homology(k))
+    )
+
+
 def _decide(k: Complex, expect_dim: int, verdicts: dict):
     if expect_dim <= -1:
         return (Verdict.YES, "sphere") if not k else (Verdict.NO, None)
@@ -184,32 +154,29 @@ def _decide(k: Complex, expect_dim: int, verdicts: dict):
         return Verdict.NO, None
     d = k.dim
     if d == 0:
-        npts = len(k.facets)
-        if npts == 2:
-            return Verdict.YES, "sphere"
-        if npts == 1:
-            return Verdict.YES, "ball"
-        return Verdict.NO, None
-    if d == 1:
-        kind = _circle_or_arc(k)
-        if kind == "circle":
-            return Verdict.YES, "sphere"
-        if kind == "arc":
-            return Verdict.YES, "ball"
-        return Verdict.NO, None
-    if d == 2:
-        kind = _surface_kind(k, verdicts)
-        if kind == "sphere":
-            return Verdict.YES, "sphere"
-        if kind == "disk":
-            return Verdict.YES, "ball"
-        return Verdict.NO, None
-    # dimension three and up: exact necessary conditions, then reduction
+        kind = {2: "sphere", 1: "ball"}.get(len(k.facets))
+        return (Verdict.YES, kind) if kind else (Verdict.NO, None)
+    # the exact necessary conditions every dimension shares
     if not k.is_pure or not _is_connected(k):
         return Verdict.NO, None
+    if d == 1:
+        # a connected graph with no vertex in three edges is a circle or an arc
+        degrees = Counter(chain.from_iterable(k.facets)).values()
+        if max(degrees) > 2:
+            return Verdict.NO, None
+        return Verdict.YES, "ball" if 1 in degrees else "sphere"
     if _crowded_ridges(k):
         return Verdict.NO, None
     boundary = k.boundary_complex
+    if d == 2:
+        # with circles and arcs for links, k is a connected surface, and
+        # chi = 2 - 2g - b or 2 - h - b is 2 only on the sphere and 1 with
+        # boundary only on the disk
+        if any(v is Verdict.NO for _, v in _link_verdicts(k, verdicts)):
+            return Verdict.NO, None
+        if euler_characteristic(k) != (1 if boundary else 2):
+            return Verdict.NO, None
+        return Verdict.YES, "ball" if boundary else "sphere"
     if not boundary:
         # d + 2 distinct d-facets on d + 2 vertices are every d-face of the
         # (d+1)-simplex, so k is its boundary and needs no reduction
@@ -220,16 +187,12 @@ def _decide(k: Complex, expect_dim: int, verdicts: dict):
         greedy_reduction(ms)
         if ms.f_vector == minimal_sphere_f_vector(d):
             return Verdict.YES, "sphere"
-        if not _sphere_homology_ok(k, d):
+        if not _homology_ok(k, closed=True) or any(
+            v is Verdict.NO for _, v in _link_verdicts(k, verdicts)
+        ):
             return Verdict.NO, None
-        for v in sorted(k.vertices):
-            lk = link(tuple.__new__(Simplex, (v,)), k)
-            sub, _ = _verdict(lk, d - 1, verdicts)
-            if sub is Verdict.NO:
-                return Verdict.NO, None
         return Verdict.UNKNOWN, None
-    hs = homology(k)
-    if any(h.betti != (1 if i == 0 else 0) or h.torsion for i, h in enumerate(hs)):
+    if not _homology_ok(k, closed=False):
         return Verdict.NO, None
     bverdict, bkind = _verdict(boundary, d - 1, verdicts)
     if bverdict is Verdict.NO or (bverdict is Verdict.YES and bkind != "sphere"):
@@ -261,7 +224,6 @@ def check_combinatorial_manifold(k: Complex) -> ManifoldReport:
         offenders.append(
             (sorted(k.facets)[0], "facet dimensions are mixed: %s" % dims)
         )
-    n = k.dim
     pseudo = pure
     for r, c in _crowded_ridges(k):
         pseudo = False
@@ -269,13 +231,10 @@ def check_combinatorial_manifold(k: Complex) -> ManifoldReport:
     boundary = k.boundary_complex
     if not pseudo:
         return ManifoldReport(pure, False, Verdict.NO, boundary, tuple(offenders))
-    if n == 0:
+    if k.dim == 0:
         return ManifoldReport(pure, True, Verdict.YES, boundary)
-    verdicts = {}
     link_verdicts = []
-    for v in sorted(k.vertices):
-        vertex = tuple.__new__(Simplex, (v,))
-        verdict, _ = _verdict(link(vertex, k), n - 1, verdicts)
+    for vertex, verdict in _link_verdicts(k, {}):
         link_verdicts.append(verdict)
         if verdict is Verdict.NO:
             offenders.append((vertex, "vertex link is not a sphere or ball"))

@@ -314,8 +314,11 @@ def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
 
     Preconditions are re-verified and reported through MoveError, so replay
     of a recorded sequence fails loudly at the first illegal step.  A fresh
-    vertex only needs to be unused; recorded sequences always carry the
-    canonical max-plus-one label.
+    vertex only needs to be unused, so any unused label is accepted:
+    ``bistellar_applicable`` offers one more than every label, but searches
+    with a ``label_floor`` and the inner searches of an alignment record
+    others.  A replayed certificate thus proves its moves legal, but not
+    which labels its end carries.
     """
     a, b = move.a, move.b
     if a not in k:

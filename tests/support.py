@@ -2,8 +2,10 @@
 
 from itertools import combinations
 
-from plmoves import EMPTY, Complex, Simplex, join, stellar_subdivide
+from plmoves import EMPTY, Complex, Simplex, Verdict, join, link, stellar_subdivide
 from plmoves.complexes import _as_simplex
+from plmoves.homology import euler_characteristic
+from plmoves.manifold import _crowded_ridges, _is_connected
 
 
 def hexagon_disk() -> Complex:
@@ -117,3 +119,68 @@ def reference_closure(simplices) -> Complex:
         maximal.append(s)
         maximal_sets.append(sset)
     return Complex(maximal, _trusted=True)
+
+
+# Exact sphere-or-ball classifiers for dimensions 0 to 2, one for each
+# dimension with its own conditions and its own vertex-link loop, which the
+# tests compare the one-path verdict against.
+
+
+def _vertex_degrees(k: Complex):
+    deg = {v: 0 for v in k.vertices}
+    for f in k.facets:
+        if len(f) == 2:
+            deg[f[0]] += 1
+            deg[f[1]] += 1
+    return deg
+
+
+def _circle_or_arc(k: Complex):
+    """Classify a 1-complex: 'circle', 'arc', or None."""
+    if not k or k.dim != 1 or not k.is_pure or not _is_connected(k):
+        return None
+    deg = _vertex_degrees(k)
+    ones = sum(1 for d in deg.values() if d == 1)
+    if any(d > 2 for d in deg.values()):
+        return None
+    if ones == 0:
+        return "circle"
+    if ones == 2:
+        return "arc"
+    return None
+
+
+def _surface_kind(k: Complex, verdicts: dict):
+    """Classify a 2-complex as 'sphere', 'disk', or None, exactly."""
+    if k.dim != 2 or not k.is_pure or not _is_connected(k):
+        return None
+    if _crowded_ridges(k):
+        return None
+    for v in k.vertices:
+        if _verdict(link(tuple.__new__(Simplex, (v,)), k), 1, verdicts)[0] is Verdict.NO:
+            return None
+    boundary = k.boundary_complex
+    if not boundary:
+        return "sphere" if euler_characteristic(k) == 2 else None
+    if _circle_or_arc(boundary) != "circle":
+        return None
+    return "disk" if euler_characteristic(k) == 1 else None
+
+
+def _verdict(k: Complex, expect_dim: int, verdicts: dict):
+    if expect_dim <= -1:
+        return (Verdict.YES, "sphere") if not k else (Verdict.NO, None)
+    if not k or k.dim != expect_dim:
+        return Verdict.NO, None
+    if k.dim == 0:
+        kind = {2: "sphere", 1: "ball"}.get(len(k.facets))
+    elif k.dim == 1:
+        kind = {"circle": "sphere", "arc": "ball"}.get(_circle_or_arc(k))
+    else:
+        kind = {"sphere": "sphere", "disk": "ball"}.get(_surface_kind(k, verdicts))
+    return (Verdict.YES, kind) if kind else (Verdict.NO, None)
+
+
+def reference_sphere_or_ball_verdict(k: Complex, expect_dim: int):
+    """``sphere_or_ball_verdict(k, expect_dim)`` for ``expect_dim`` at most 2."""
+    return _verdict(k, expect_dim, {})

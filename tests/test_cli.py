@@ -486,6 +486,23 @@ def test_usage_errors_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--target", "-"],
+        ["align", "--target", "-"],
+        ["moves", "apply", "--sequence", "-"],
+        ["extend"],
+    ],
+)
+def test_commands_that_always_emit_json_take_no_format(argv):
+    # they write a document or a certificate, which no --format would change
+    code, out, err = run_cli(argv + ["--format", "text"])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --format text" in err
+
+
 def test_unreadable_sequence_file_exits_1(tmp_path):
     start = write(tmp_path, "start.json", demo_text("bipyramid"))
     code, _, err = run_cli(
