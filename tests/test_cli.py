@@ -120,6 +120,31 @@ def test_schema_errors_exit_2():
     assert code == 2
 
 
+def test_malformed_entries_exit_2_and_name_their_field(tmp_path):
+    start = write(tmp_path, "start.json", demo_text("bipyramid"))
+    stretched = {
+        "kind": "extended",
+        "a": [1, 2],
+        "b": [6],
+        "stratum": 1,
+        "suspension": {"start": 1, "apexes": [[4, 5, 6]]},
+    }
+    cases = [
+        ([5], "moves[0]: expected an object"),
+        ([stretched], "moves[0].suspension.apexes[0]: expected a [plus, minus] apex pair"),
+    ]
+    for moves, message in cases:
+        cert = write(
+            tmp_path, "cert.json", json.dumps({"start_fingerprint": "abc", "moves": moves})
+        )
+        code, out, err = run_cli(["moves", "apply", "--input", start, "--sequence", cert])
+        assert (code, out, err) == (2, "", "document error: %s\n" % message)
+    code, out, err = run_cli(
+        ["validate", "--input", "-"], stdin='{"dimension": 1, "facets": [[1, 2], []]}'
+    )
+    assert (code, out, err) == (2, "", "document error: facets[1]: must not be empty\n")
+
+
 def test_nested_facets_are_a_schema_error():
     nested_top = json.dumps({"dimension": 2, "facets": [[1, 2, 3], [1, 2]]})
     nested_stratum = json.dumps(

@@ -104,6 +104,23 @@ def test_enumerate_extended_moves_on_equator():
             assert m.suspension.apexes == ()
 
 
+def test_a_stratum_that_is_not_pure_carries_no_inner_moves():
+    # the equator with the pole 4 as a stray point: stratum 1 has no moves
+    # of its own, and the top stratum keeps the pole fixed
+    fc = filtered_s2_equator()
+    stray = FilteredComplex((EMPTY, Complex([(1, 2), (2, 3), (1, 3), (4,)]), fc.complex))
+    assert validate_filtration(stray).findings == ("stratum 1 is not pure",)
+    assert [str(m) for m in enumerate_extended_moves(stray)] == [
+        "extended[2] chi([1, 2, 4], [6]) via []",
+        "extended[2] chi([1, 2, 5], [6]) via []",
+        "extended[2] chi([1, 3, 4], [6]) via []",
+        "extended[2] chi([1, 3, 5], [6]) via []",
+        "extended[2] chi([2, 3, 4], [6]) via []",
+        "extended[2] chi([2, 3, 5], [6]) via []",
+        "extended[2] chi([5], [1, 2, 3]) via []",
+    ]
+
+
 def test_extended_move_restriction_is_the_inner_move():
     fc = filtered_s2_equator()
     for m in enumerate_extended_moves(fc):

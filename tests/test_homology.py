@@ -98,6 +98,15 @@ def test_homology_group_rendering():
     assert summary.startswith("H_0")
 
 
+def test_homology_group_refuses_what_no_group_is():
+    with pytest.raises(ValueError, match="^negative rank$"):
+        HomologyGroup(-1)
+    with pytest.raises(ValueError, match="^torsion coefficients must divide successively$"):
+        HomologyGroup(0, (2, 3))
+    with pytest.raises(ValueError, match="^torsion coefficients must exceed 1$"):
+        HomologyGroup(0, (1,))
+
+
 def test_internal_chain_complex_check_can_be_disabled():
     t = torus7()
     assert homology(t, check=False) == homology(t)

@@ -12,6 +12,7 @@ from plmoves import (
     EMPTY,
     BistellarMove,
     Complex,
+    FilteredComplex,
     MoveRecord,
     MoveSequence,
     SearchBudget,
@@ -21,6 +22,7 @@ from plmoves import (
     boundary_of_simplex,
     canonical_facet_text,
     emit_sequence,
+    enumerate_extended_moves,
     enumerate_moves,
     f_vector,
     find_isomorphism,
@@ -325,6 +327,72 @@ def test_find_isomorphism():
     assert find_isomorphism(b, boundary_of_simplex(3)) is None
     # degree-compatible but non-isomorphic pair
     assert find_isomorphism(boundary_of_simplex(3), Complex([(1, 2, 3)])) is None
+
+
+def test_stratified_align_rejects_ends_of_different_shape():
+    fc = filtered_s2_equator()
+    with pytest.raises(SearchError, match="^filtrations have different lengths$"):
+        stratified_align(fc, filtered_s3_equatorial_s2())
+    pointed = FilteredComplex((Complex([(1,)]), fc.strata[1], fc.complex))
+    with pytest.raises(SearchError, match="^filtrations disagree on the 0-stratum$"):
+        stratified_align(fc, pointed)
+
+
+def test_replay_refuses_a_record_of_the_wrong_kind_of_state():
+    fc = filtered_s2_equator()
+    flip = MoveRecord("bistellar", BistellarMove((1, 2), (4, 5)))
+    with pytest.raises(SearchError) as raised:
+        replay(fc, MoveSequence.for_state(fc, [flip]))
+    assert str(raised.value) == (
+        "illegal step 0 (bistellar chi([1, 2], [4, 5])):"
+        " bistellar record applied to a stratified state"
+    )
+    b = bipyramid()
+    extended = MoveRecord("extended", enumerate_extended_moves(fc)[0])
+    with pytest.raises(SearchError) as raised:
+        replay(b, MoveSequence.for_state(b, [extended]))
+    assert str(raised.value) == (
+        "illegal step 0 (extended extended[1] chi([1, 2], [6]) via [(4, 5)]):"
+        " extended record needs a filtered complex"
+    )
+
+
+def test_walks_stop_early_where_no_move_is_left():
+    b = bipyramid()
+    end, seq = random_walk(b, 5, avoid=b)  # every face avoided
+    assert end == b and len(seq) == 0
+    assert replay(b, seq) == b
+    # the one segment: its subdivision has no suspension in the top stratum
+    segment = FilteredComplex((EMPTY, Complex([(1, 2)]), Complex([(1, 2)])))
+    assert enumerate_extended_moves(segment) == []
+    end, seq = random_extended_walk(segment, 3)
+    assert end == segment and len(seq) == 0
+    assert seq.start_fingerprint == state_fingerprint(segment)
+
+
+def test_flip_search_gives_up_on_ends_of_different_dimension_or_euler_characteristic():
+    assert flip_search(boundary_of_simplex(3), boundary_of_simplex(4)) is None
+    assert flip_search(torus7(), bipyramid()) is None
+
+
+def test_find_isomorphism_past_the_degree_signatures():
+    square = Complex([(1, 2), (2, 3), (3, 4), (1, 4)])
+    # a triangle with a pendant edge: four edges, but the degrees differ
+    assert find_isomorphism(square, Complex([(1, 2), (2, 3), (1, 3), (3, 4)])) is None
+    # a path of four edges: five vertices for the square's four
+    assert find_isomorphism(square, Complex([(1, 2), (2, 3), (3, 4), (4, 5)])) is None
+    # all vertices of degree 2 on both sides, so only the search tells
+    hexagon = Complex([(i, i % 6 + 1) for i in range(1, 7)])
+    triangles = Complex([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    assert find_isomorphism(hexagon, triangles) is None
+    assert find_isomorphism(triangles, hexagon) is None
+    # a triangle and a square against a square and a triangle: the first
+    # vertices go to the square first and have to come back
+    src = Complex([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+    dst = Complex([(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7), (5, 7)])
+    iso = find_isomorphism(src, dst)
+    assert iso == {1: 5, 2: 6, 3: 7, 4: 1, 5: 2, 6: 3, 7: 4}
+    assert Complex([tuple(iso[v] for v in f) for f in src.facets]) == dst
 
 
 def test_move_sequence_iterates_records():

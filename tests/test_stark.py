@@ -168,3 +168,106 @@ def test_validate_neighborhood_findings():
     )
     r2 = validate_stark_neighborhood(x, stray)
     assert any("not a subcomplex of stratum" in f for f in r2.findings)
+
+
+def _one_level(*cells):
+    return (tuple(cells),)
+
+
+def test_every_stark_obstruction_finding_and_note_is_pinned():
+    fc = filtered_s2_equator()
+    knot, _ = knot_model()
+    fan, _ = join_fan(2)
+    edge = Complex([(1, 2)])
+    poles = _one_level((4, {1, 2}), (5, {1, 2}))
+    # the pole 4 sits in the equator stratum through the edge 1-4
+    pole_in_x1 = FilteredComplex(
+        (EMPTY, Complex([(1, 2), (2, 3), (1, 3), (1, 4)]), fc.complex)
+    )
+    obstructions = [
+        (fc, StarkNeighborhood(edge, poles), BistellarMove((1, 2, 4), (6,)),
+         "the inner move is 2-dimensional, the base ball is 1-dimensional"),
+        (fc, StarkNeighborhood(edge, ()), BistellarMove((1, 2), (6,)),
+         "neighborhood of a 1-ball needs 1 levels, has 0"),
+        (fc, StarkNeighborhood(edge, poles), BistellarMove((1, 3), (6,)),
+         "the base is not the source ball A * dB of the move"),
+        (fc, StarkNeighborhood(edge, poles), BistellarMove((1, 2), (3,)),
+         "co-simplex (3,) already present"),
+        (fc, StarkNeighborhood(edge, _one_level((6, {1, 2}), (7, {1, 2}))),
+         BistellarMove((1, 2), (6,)),
+         "co-simplex (6,) collides with a neighborhood apex"),
+        (fc, StarkNeighborhood(Complex([(1, 4)]), _one_level((7, {1, 4}), (8, {1, 4}))),
+         BistellarMove((1, 4), (6,)),
+         "interior simplex (1, 4) is not in stratum 1"),
+        (fan, StarkNeighborhood(Complex([(1, 3), (1, 4)]), _one_level((9, {1, 3, 4}))),
+         BistellarMove((1,), (3, 4)),
+         "interior simplex (1,) lies in X_0"),
+        (fc, StarkNeighborhood(edge, _one_level((4, {1, 2}), (7, {1, 2}))),
+         BistellarMove((1, 2), (6,)),
+         "neighborhood cell (1, 2, 7) is not triangulated in the complex"
+         " (subdivided or absent)"),
+        (knot, StarkNeighborhood(Complex([(1, 2, 3)]), ((),)),
+         BistellarMove((1, 2, 3), (7,)),
+         "neighborhood cell (1, 2, 3) is not maximal in the complex"),
+        (fc, StarkNeighborhood(edge, _one_level((4, {1, 2}))), BistellarMove((1, 2), (6,)),
+         "the star of (1, 2) reaches outside the stark neighborhood"
+         " (facet (1, 2, 5))"),
+        (pole_in_x1, StarkNeighborhood(edge, poles), BistellarMove((1, 2), (6,)),
+         "stratum memberships of (1, 2, 4) do not follow the cone levels"),
+    ]
+    for x, nbhd, inner, message in obstructions:
+        assert stark_obstruction(x, nbhd, inner) == message
+        with pytest.raises(StarkError) as raised:
+            apply_stark_extended_bistellar(x, nbhd, inner)
+        assert str(raised.value) == "cannot apply %s in a stark neighborhood: %s" % (
+            inner,
+            message,
+        )
+    legal = BistellarMove((1, 2), (6,))
+    assert stark_obstruction(fc, StarkNeighborhood(edge, poles), legal) is None
+
+    assumed = (
+        "neighborhood existence (condition 4) is assumed; validate each"
+        " supplied neighborhood separately",
+    )
+    complexes = [
+        (FilteredComplex((EMPTY, edge, Complex([(1, 2, 3), (5, 6)]))),
+         ("a component of X_2 \\ X_1 has dimension 1",)),
+        (FilteredComplex((EMPTY, EMPTY, Complex([(1, 2, 3), (1, 2, 4), (1, 2, 5)]))),
+         ("a component closure in stratum 2 fails the manifold check:"
+          " ridge lies in 3 facets",)),
+    ]
+    for x, findings in complexes:
+        report = validate_stark_complex(x)
+        assert (report.ok, report.findings, report.notes) == (False, findings, assumed)
+
+    abstract = (
+        "1 apex labels are not vertices of the space (abstract neighborhood);"
+        " moves need realized apexes",
+    )
+    circle = Complex([(1, 2), (2, 3), (1, 3)])
+    neighborhoods = [
+        (fc, StarkNeighborhood(edge, ()),
+         ("neighborhood of a 1-ball needs 1 levels, has 0",), ()),
+        (fc, StarkNeighborhood(circle, _one_level((4, {1, 2, 3}), (5, {1, 2, 3}))),
+         ("the base is not a combinatorial 1-ball",
+          "the cell for apex 4 is not a combinatorial ball",
+          "the cell for apex 5 is not a combinatorial ball"), ()),
+        (fc, StarkNeighborhood(edge, _one_level((4, {2, 7}))),
+         ("cell for apex 4 does not contain the base",), ()),
+        (fc, StarkNeighborhood(edge, _one_level((4, {1, 2, 7}))),
+         ("cell for apex 4 is not a union of neighborhood cells"
+          " (unmatched vertices [7])",), ()),
+        (knot, StarkNeighborhood(
+            edge, (((3, {1, 2}), (4, {1, 2}), (7, {1, 2})), ((5, {1, 2, 3, 4, 7}),))),
+         ("the cell for apex 5 is not a combinatorial ball",), abstract),
+        (fc, StarkNeighborhood(edge, _one_level((3, {1, 2}))),
+         ("level-1 apex 3 lies in X_1",), ()),
+        (fan, StarkNeighborhood(Complex([(1, 3), (1, 4)]), _one_level((9, {1, 3, 4}))),
+         ("the interior of the base meets X_0",), abstract),
+        (fc, StarkNeighborhood(Complex([(7, 8)]), _one_level((9, {7, 8}))),
+         ("the base is not a subcomplex of stratum 1",), abstract),
+    ]
+    for x, nbhd, findings, notes in neighborhoods:
+        report = validate_stark_neighborhood(x, nbhd)
+        assert (report.ok, report.findings, report.notes) == (False, findings, notes)
