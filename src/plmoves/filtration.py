@@ -279,22 +279,19 @@ def _extended_move(fc: FilteredComplex, k: int, inner: BistellarMove) -> Extende
 def enumerate_extended_moves(fc: FilteredComplex) -> list[ExtendedMove]:
     """Every applicable extended move, ordered by (stratum, inner move).
 
-    Inner candidates come from the stratum with its lower stratum and its
-    boundary avoided; fresh labels are fresh for the whole complex.  Each
-    candidate is lifted through the suspension its links force, and the
-    full applicability check filters the rest.
+    Inner candidates come from each pure stratum, with its lower stratum
+    and its boundary avoided; a stratum that is not pure carries none.
+    Fresh labels are fresh for the whole complex.  Each candidate is lifted
+    through the suspension its links force, and the full applicability
+    check filters the rest.
     """
     out = []
     floor = fresh_vertex(fc.complex) - 1
     for k in range(1, fc.n + 1):
         mk = fc.strata[k]
-        if not mk or mk.dim != k:
+        if not mk or mk.dim != k or not mk.is_pure:
             continue
-        try:
-            inners = enumerate_moves(mk, _stratum_avoid(fc, k), label_floor=floor)
-        except MoveError:
-            continue
-        for inner in inners:
+        for inner in enumerate_moves(mk, _stratum_avoid(fc, k), label_floor=floor):
             move = _extended_move(fc, k, inner)
             if move is not None:
                 out.append(move)

@@ -31,8 +31,8 @@ Homology is unreduced and computed over Z, so torsion comes out exactly
    dense check below.  The Betti numbers come from the critical-cell
    counts.
 
-With ``check=True`` (the default) these cross-checks run, each named with
-the failure it sees:
+These cross-checks run on every call, each named with the failure it
+sees:
 
 - the simplicial identities d_i d_j = d_(j-1) d_i (i < j) hold on the
   face-index table, compared for all columns of a dimension at once; they
@@ -450,7 +450,7 @@ def _check_snf(entries, nrows, ncols, rank, torsion):
         )
 
 
-def homology(k: Complex, check: bool = True) -> list[HomologyGroup]:
+def homology(k: Complex) -> list[HomologyGroup]:
     """Unreduced integral homology in dimensions 0..dim(k).
 
     H_0 has rank the number of connected components; torsion of H_d comes
@@ -467,12 +467,10 @@ def homology(k: Complex, check: bool = True) -> list[HomologyGroup]:
         return []
     n = k.dim
     bases, faces = _face_index(k)
-    if check:
-        _check_chain_complex(bases, faces)
+    _check_chain_complex(bases, faces)
     critical, up, when = _collapse(bases, faces)
     morse = _morse_boundaries(faces, critical, up, when)
-    if check:
-        _check_morse_complex(morse)
+    _check_morse_complex(morse)
     ranks = [0] * (n + 2)  # rank of the Morse boundary_d, d = 0..n+1
     torsions = [()] * (n + 2)
     for d in range(1, n + 1):
@@ -481,27 +479,25 @@ def homology(k: Complex, check: bool = True) -> list[HomologyGroup]:
         ]
         nrows, ncols = len(critical[d - 1]), len(critical[d])
         ranks[d], torsions[d] = _kernel.snf_summary(entries, nrows, ncols)
-        if check:
-            _check_snf(entries, nrows, ncols, ranks[d], torsions[d])
+        _check_snf(entries, nrows, ncols, ranks[d], torsions[d])
     out = []
     for d in range(n + 1):
         betti = len(critical[d]) - ranks[d] - ranks[d + 1]
         out.append(HomologyGroup(betti, tuple(torsions[d + 1])))
-    if check:
-        for d, h in enumerate(out):
-            if h.betti > len(critical[d]):
-                raise AssertionError(
-                    "b_%d = %d exceeds the %d critical %d-cells"
-                    % (d, h.betti, len(critical[d]), d)
-                )
-        alternating = sum(
-            (h.betti if d % 2 == 0 else -h.betti) for d, h in enumerate(out)
-        )
-        chi = sum((len(b) if d % 2 == 0 else -len(b)) for d, b in enumerate(bases))
-        if alternating != chi:
-            raise AssertionError("Betti numbers disagree with Euler characteristic")
-        if out[0].betti != _component_count(bases, faces):
-            raise AssertionError("H_0 disagrees with the number of connected components")
+    for d, h in enumerate(out):
+        if h.betti > len(critical[d]):
+            raise AssertionError(
+                "b_%d = %d exceeds the %d critical %d-cells"
+                % (d, h.betti, len(critical[d]), d)
+            )
+    alternating = sum(
+        (h.betti if d % 2 == 0 else -h.betti) for d, h in enumerate(out)
+    )
+    chi = sum((len(b) if d % 2 == 0 else -len(b)) for d, b in enumerate(bases))
+    if alternating != chi:
+        raise AssertionError("Betti numbers disagree with Euler characteristic")
+    if out[0].betti != _component_count(bases, faces):
+        raise AssertionError("H_0 disagrees with the number of connected components")
     return out
 
 

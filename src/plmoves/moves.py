@@ -253,11 +253,6 @@ class BistellarMove:
             raise MoveError("move simplices must be disjoint: %s, %s" % (self.a, self.b))
 
     @property
-    def k(self):
-        """dim(a), the index of the bistellar k-operation."""
-        return self.a.dim
-
-    @property
     def n(self):
         """Ambient dimension dim(a) + dim(b)."""
         return self.a.dim + self.b.dim
@@ -546,7 +541,7 @@ class MoveSet:
 
 
 def greedy_reduction(
-    ms: MoveSet, move_budget: int = 600, seed: int = 0, relax: int = 2
+    ms: MoveSet, move_budget: int = 600, seed: int = 0
 ) -> list[tuple[Simplex, Simplex]]:
     """Advance ``ms`` toward the f-vector of a simplex boundary; return the
     moves (a, b) applied, in order.
@@ -554,8 +549,8 @@ def greedy_reduction(
     Greedy: always take the most simplex-count-decreasing move (ties by the
     least a); on a plateau, spend an allowance of 8 f_0 + 16 seeded sideways
     or mildly uphill moves, never exceeding the recorded simplex-count
-    high-water mark plus ``relax``.  Stops at the target f-vector, on stall,
-    or after ``move_budget`` moves.  ``reduce`` records the moves as a
+    high-water mark plus 2.  Stops at the target f-vector, on stall, or
+    after ``move_budget`` moves.  ``reduce`` records the moves as a
     certificate; the sphere verdict asks only whether the target was reached.
 
     Since |a| + |b| = d + 2, a move's change of the simplex count,
@@ -588,7 +583,7 @@ def greedy_reduction(
         else:
             if sideways_left <= 0:
                 break
-            if step > 0 and step > high + relax - sum(ms.f_vector):
+            if step > 0 and step > high + 2 - sum(ms.f_vector):
                 break
             a = rng.choice(faces)
             sideways_left -= 1

@@ -434,15 +434,14 @@ def reduce(
     k: Complex,
     move_budget: int = 600,
     seed: int = 0,
-    relax: int = 2,
 ) -> tuple[Complex, MoveSequence]:
     """Drive a closed pseudomanifold toward a minimal triangulation.
 
     The moves are those of ``moves.greedy_reduction``, the one greedy
     reducer, which the sphere verdict runs too: the most
     simplex-count-decreasing move first, and on a plateau a bounded
-    allowance of seeded sideways or mildly uphill moves within ``relax`` of
-    the simplex-count high-water mark.  Like random_walk it follows one
+    allowance of seeded sideways or mildly uphill moves within 2 of the
+    simplex-count high-water mark.  Like random_walk it follows one
     incremental move set without verifying each step; the certificate
     always replays.  A complex with boundary is refused with a SearchError.
 
@@ -459,7 +458,7 @@ def reduce(
     ms = MoveSet(k)
     records = [
         MoveRecord("bistellar", BistellarMove(a, b))
-        for a, b in greedy_reduction(ms, move_budget, seed, relax)
+        for a, b in greedy_reduction(ms, move_budget, seed)
     ]
     return ms.complex(), MoveSequence.for_state(k, records)
 

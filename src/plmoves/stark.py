@@ -290,53 +290,48 @@ def _vertex_strata(x: FilteredComplex) -> dict:
     return out
 
 
-def _prepared(x: FilteredComplex, nbhd: StarkNeighborhood, inner: BistellarMove):
-    """(obstruction, body_before): the full applicability check for a stark
-    extended bistellar operation, with the cone extension of the current
-    base on success."""
+def stark_obstruction(x: FilteredComplex, nbhd: StarkNeighborhood, inner: BistellarMove):
+    """None when the stark extended bistellar operation applies, otherwise
+    the first failed condition."""
     k = nbhd.k
     if inner.n != k:
         return (
             "the inner move is %d-dimensional, the base ball is"
-            " %d-dimensional" % (inner.n, k),
-            None,
+            " %d-dimensional" % (inner.n, k)
         )
     if len(nbhd.levels) != x.n - k:
         return (
             "neighborhood of a %d-ball needs %d levels, has %d"
-            % (k, x.n - k, len(nbhd.levels)),
-            None,
+            % (k, x.n - k, len(nbhd.levels))
         )
     if nbhd.base != replaced_ball(inner):
-        return "the base is not the source ball A * dB of the move", None
+        return "the base is not the source ball A * dB of the move"
     if inner.b in x.complex:
-        return "co-simplex %s already present" % (inner.b,), None
+        return "co-simplex %s already present" % (inner.b,)
     if set(inner.b) & set(nbhd.apexes):
-        return "co-simplex %s collides with a neighborhood apex" % (inner.b,), None
+        return "co-simplex %s collides with a neighborhood apex" % (inner.b,)
     interior = set(nbhd.base.simplices) - set(nbhd.base.boundary_complex.simplices)
     for s in sorted(interior):
         if s not in x.strata[k]:
-            return "interior simplex %s is not in stratum %d" % (s, k), None
+            return "interior simplex %s is not in stratum %d" % (s, k)
         if k and s in x.strata[k - 1]:
-            return "interior simplex %s lies in X_%d" % (s, k - 1), None
+            return "interior simplex %s lies in X_%d" % (s, k - 1)
     body_before = cone_extend(nbhd.base, nbhd)
     space_facets = set(x.complex.facets)
     for f in body_before.facets:
         if f not in x.complex:
             return (
                 "neighborhood cell %s is not triangulated in the complex"
-                " (subdivided or absent)" % (f,),
-                None,
+                " (subdivided or absent)" % (f,)
             )
         if f not in space_facets:
-            return "neighborhood cell %s is not maximal in the complex" % (f,), None
+            return "neighborhood cell %s is not maximal in the complex" % (f,)
     before_facets = set(body_before.facets)
     for f in x.complex.facets_containing(inner.a):
         if f not in before_facets:
             return (
                 "the star of %s reaches outside the stark neighborhood"
-                " (facet %s)" % (inner.a, f),
-                None,
+                " (facet %s)" % (inner.a, f)
             )
     # removed simplices must sit in exactly the strata the cone levels say,
     # otherwise the replacement would shift memberships near the ball
@@ -348,18 +343,8 @@ def _prepared(x: FilteredComplex, nbhd: StarkNeighborhood, inner: BistellarMove)
         want = max(k, max(vstrat[v] for v in s))
         for l in range(x.n + 1):
             if (s in x.strata[l]) != (l >= want):
-                return (
-                    "stratum memberships of %s do not follow the cone"
-                    " levels" % (s,),
-                    None,
-                )
-    return None, body_before
-
-
-def stark_obstruction(x: FilteredComplex, nbhd: StarkNeighborhood, inner: BistellarMove):
-    """None when the stark extended bistellar operation applies, otherwise
-    the first failed condition."""
-    return _prepared(x, nbhd, inner)[0]
+                return "stratum memberships of %s do not follow the cone levels" % (s,)
+    return None
 
 
 def apply_stark_extended_bistellar(
@@ -373,7 +358,7 @@ def apply_stark_extended_bistellar(
     as stratum k.  On filtered manifolds this reproduces
     apply_extended_bistellar stratum for stratum.
     """
-    problem, _ = _prepared(x, nbhd, inner)
+    problem = stark_obstruction(x, nbhd, inner)
     if problem is not None:
         raise StarkError("cannot apply %s in a stark neighborhood: %s" % (inner, problem))
     k = nbhd.k

@@ -41,7 +41,6 @@ from support import hexagon_disk
 def test_move_data_and_inverse():
     m = BistellarMove((2, 1), (4, 3))
     assert m.a == (1, 2) and m.b == (3, 4)
-    assert m.k == 1
     assert m.n == 2
     assert m.inverse() == BistellarMove((3, 4), (1, 2))
     assert str(m) == "chi([1, 2], [3, 4])"

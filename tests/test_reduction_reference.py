@@ -18,7 +18,7 @@ def _sorted_moves(ms):
     return [(a, fresh if b is None else b) for a, b in sorted(ms._moves.items())]
 
 
-def _reference_reduction(ms, move_budget=600, seed=0, relax=2):
+def _reference_reduction(ms, move_budget=600, seed=0):
     """greedy_reduction as a loop that sorts every move and lists the delta
     of each at every step."""
     minimal = minimal_sphere_f_vector(ms._size - 1)
@@ -41,7 +41,7 @@ def _reference_reduction(ms, move_budget=600, seed=0, relax=2):
                 break
             step = 0
             if 0 not in deltas:
-                allowance = high + relax - sum(ms.f_vector)
+                allowance = high + 2 - sum(ms.f_vector)
                 step = min((d for d in deltas if 0 < d <= allowance), default=None)
                 if step is None:
                     break
@@ -76,7 +76,7 @@ def _starts():
     # climbs within its allowance, and the walked S2 take zero-delta
     # sideways steps), the octahedron, whose first step is sideways, and the
     # 3-sphere of the cross-polytope, whose first step climbs by 4 and so is
-    # refused unless relax is at least 4
+    # refused: the allowance is 2 above the high-water mark
     walks = [(2, 20, range(4)), (3, 40, range(4)), (3, 100, [9])]
     walks += [(4, 30, range(3)), (5, 15, range(2))]
     for dim, steps, seeds in walks:
@@ -89,21 +89,18 @@ def _starts():
 def test_greedy_reduction_takes_the_moves_of_the_sorting_loop():
     deltas = set()
     for start, seed in _starts():
-        for relax in (-1, 0, 2, 4):
-            for budget in (600, 7):
-                for reduction_seed in (0, seed + 1):
-                    got = greedy_reduction(MoveSet(start), budget, reduction_seed, relax)
-                    ms = MoveSet(start)
-                    want = _reference_reduction(ms, budget, reduction_seed, relax)
-                    assert got == want, (sorted(start.facets), relax, budget)
-                    deltas.update(fsum_delta(a, b) for a, b in want)
-                    _assert_ordered(ms)
+        for budget in (600, 7):
+            for reduction_seed in (0, seed + 1):
+                got = greedy_reduction(MoveSet(start), budget, reduction_seed)
+                ms = MoveSet(start)
+                want = _reference_reduction(ms, budget, reduction_seed)
+                assert got == want, (sorted(start.facets), budget)
+                deltas.update(fsum_delta(a, b) for a, b in want)
+                _assert_ordered(ms)
     # every kind of step ran: downhill, sideways and uphill
     assert min(deltas) < 0 and 0 in deltas and max(deltas) > 0
     # and the allowance decides on the cross-polytope
-    cross = _cross_polytope_boundary(4)
-    assert greedy_reduction(MoveSet(cross), relax=2) == []
-    assert greedy_reduction(MoveSet(cross), relax=4)
+    assert greedy_reduction(MoveSet(_cross_polytope_boundary(4))) == []
 
 
 @pytest.mark.parametrize(
