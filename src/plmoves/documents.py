@@ -62,7 +62,18 @@ class ComplexDocument:
 # ---------------------------------------------------------------- parsing
 
 
+def _path_text(path):
+    """A field path as an error names it.  A path is a field name or a
+    (parent path, part) pair, the part a list index or a ".field" suffix,
+    and is formatted only here, when a check fails."""
+    if isinstance(path, tuple):
+        parent, part = path
+        return _path_text(parent) + ("[%d]" % part if isinstance(part, int) else part)
+    return path
+
+
 def _err(path, msg):
+    path = _path_text(path)
     raise DocumentError("%s: %s" % (path, msg) if path else msg)
 
 
@@ -77,7 +88,7 @@ def _as_object(value, path, allowed):
 
 def _require(obj, key, path):
     if key not in obj:
-        _err("%s.%s" % (path, key) if path else key, "required field is missing")
+        _err((path, "." + key) if path else key, "required field is missing")
     return obj[key]
 
 
@@ -99,7 +110,12 @@ def _as_list(value, path, allow_empty=True):
 
 def _facet(value, path):
     items = _as_list(value, path, allow_empty=False)
-    verts = sorted(_as_int(v, "%s[%d]" % (path, i), minimum=0) for i, v in enumerate(items))
+    for i, v in enumerate(items):
+        # JSON gives plain ints; anything else goes to _as_int, which words
+        # the error (and passes an int subclass, as it always has)
+        if v.__class__ is not int or v < 0:
+            _as_int(v, (path, i), minimum=0)
+    verts = sorted(items)
     for x, y in zip(verts, verts[1:]):
         if x == y:
             _err(path, "duplicate vertex %d" % x)
@@ -108,7 +124,7 @@ def _facet(value, path):
 
 def _facet_list(value, path, allow_empty) -> Facets:
     items = _as_list(value, path, allow_empty)
-    return tuple(sorted({_facet(f, "%s[%d]" % (path, i)) for i, f in enumerate(items)}))
+    return tuple(sorted({_facet(f, (path, i)) for i, f in enumerate(items)}))
 
 
 def _parse_strata(value, dimension):
@@ -116,18 +132,18 @@ def _parse_strata(value, dimension):
     listed = []
     last = -1
     for i, entry in enumerate(items):
-        path = "strata[%d]" % i
+        path = ("strata", i)
         obj = _as_object(entry, path, ("dim", "facets"))
-        d = _as_int(_require(obj, "dim", path), path + ".dim", minimum=0)
+        d = _as_int(_require(obj, "dim", path), (path, ".dim"), minimum=0)
         if d <= last:
-            _err(path + ".dim", "stratum dimensions must be strictly ascending")
+            _err((path, ".dim"), "stratum dimensions must be strictly ascending")
         if d >= dimension:
             _err(
-                path + ".dim",
+                (path, ".dim"),
                 "must be below the top dimension %d"
                 " (the top stratum is the facets field)" % dimension,
             )
-        listed.append((d, _facet_list(_require(obj, "facets", path), path + ".facets", True)))
+        listed.append((d, _facet_list(_require(obj, "facets", path), (path, ".facets"), True)))
         last = d
     filled = []
     carried: Facets = ()
@@ -142,16 +158,16 @@ def _parse_strata(value, dimension):
 
 def _parse_neighborhood(value, path) -> NeighborhoodDocument:
     obj = _as_object(value, path, ("base_facets", "levels"))
-    base = _facet_list(_require(obj, "base_facets", path), path + ".base_facets", False)
+    base = _facet_list(_require(obj, "base_facets", path), (path, ".base_facets"), False)
     levels = []
-    for i, lvl in enumerate(_as_list(_require(obj, "levels", path), path + ".levels")):
-        lpath = "%s.levels[%d]" % (path, i)
+    for i, lvl in enumerate(_as_list(_require(obj, "levels", path), (path, ".levels"))):
+        lpath = ((path, ".levels"), i)
         entries = []
         for j, e in enumerate(_as_list(lvl, lpath, allow_empty=False)):
-            epath = "%s[%d]" % (lpath, j)
+            epath = (lpath, j)
             eobj = _as_object(e, epath, ("apex", "L_facets"))
-            apex = _as_int(_require(eobj, "apex", epath), epath + ".apex", minimum=0)
-            lf = _facet_list(_require(eobj, "L_facets", epath), epath + ".L_facets", False)
+            apex = _as_int(_require(eobj, "apex", epath), (epath, ".apex"), minimum=0)
+            lf = _facet_list(_require(eobj, "L_facets", epath), (epath, ".L_facets"), False)
             entries.append((apex, lf))
         entries.sort(key=lambda t: t[0])
         levels.append(tuple(entries))
@@ -185,7 +201,7 @@ def parse_document(text: str) -> ComplexDocument:
             _err("stark_neighborhoods", "requires the strata field")
         items = _as_list(top["stark_neighborhoods"], "stark_neighborhoods")
         neighborhoods = tuple(
-            _parse_neighborhood(e, "stark_neighborhoods[%d]" % i) for i, e in enumerate(items)
+            _parse_neighborhood(e, ("stark_neighborhoods", i)) for i, e in enumerate(items)
         )
     metadata = top.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
@@ -352,47 +368,47 @@ def _parse_move(value, path) -> MoveRecord:
         _err(path, "expected an object")
     kind = _require(value, "kind", path)
     if kind not in ("bistellar", "extended", "stark"):
-        _err(path + ".kind", "unknown move kind %r" % (kind,))
+        _err((path, ".kind"), "unknown move kind %r" % (kind,))
     fields = {
         "bistellar": ("kind", "a", "b"),
         "extended": ("kind", "a", "b", "stratum", "suspension"),
         "stark": ("kind", "a", "b", "neighborhood"),
     }[kind]
     obj = _as_object(value, path, fields)
-    a = _facet(_require(obj, "a", path), path + ".a")
-    b = _facet(_require(obj, "b", path), path + ".b")
+    a = _facet(_require(obj, "a", path), (path, ".a"))
+    b = _facet(_require(obj, "b", path), (path, ".b"))
     try:
         inner = BistellarMove(a, b)
         if kind == "bistellar":
             return MoveRecord("bistellar", inner)
         if kind == "extended":
-            spath = path + ".suspension"
+            spath = (path, ".suspension")
             sobj = _as_object(_require(obj, "suspension", path), spath, ("start", "apexes"))
-            start = _as_int(_require(sobj, "start", spath), spath + ".start", minimum=0)
+            start = _as_int(_require(sobj, "start", spath), (spath, ".start"), minimum=0)
             apexes = []
-            for i, pair in enumerate(_as_list(_require(sobj, "apexes", spath), spath + ".apexes")):
-                ppath = "%s.apexes[%d]" % (spath, i)
+            for i, pair in enumerate(_as_list(_require(sobj, "apexes", spath), (spath, ".apexes"))):
+                ppath = ((spath, ".apexes"), i)
                 items = _as_list(pair, ppath, allow_empty=False)
                 if len(items) != 2:
                     _err(ppath, "expected a [plus, minus] apex pair")
                 apexes.append(
                     (
-                        _as_int(items[0], ppath + "[0]", minimum=0),
-                        _as_int(items[1], ppath + "[1]", minimum=0),
+                        _as_int(items[0], (ppath, 0), minimum=0),
+                        _as_int(items[1], (ppath, 1), minimum=0),
                     )
                 )
             move = ExtendedMove(
-                stratum=_as_int(_require(obj, "stratum", path), path + ".stratum", minimum=0),
+                stratum=_as_int(_require(obj, "stratum", path), (path, ".stratum"), minimum=0),
                 inner=inner,
                 suspension=SuspensionData(start, tuple(apexes)),
             )
             return MoveRecord("extended", move)
-        nb = _parse_neighborhood(_require(obj, "neighborhood", path), path + ".neighborhood")
+        nb = _parse_neighborhood(_require(obj, "neighborhood", path), (path, ".neighborhood"))
         return MoveRecord("stark", StarkMove(neighborhood_from_document(nb), inner))
     except DocumentError:
         raise
     except ValueError as e:
-        raise DocumentError("%s: %s" % (path, e)) from e
+        raise DocumentError("%s: %s" % (_path_text(path), e)) from e
 
 
 def parse_sequence(text: str) -> MoveSequence:
@@ -401,7 +417,7 @@ def parse_sequence(text: str) -> MoveSequence:
     if not isinstance(fingerprint, str) or not fingerprint:
         _err("start_fingerprint", "expected a nonempty string")
     moves = tuple(
-        _parse_move(m, "moves[%d]" % i)
+        _parse_move(m, ("moves", i))
         for i, m in enumerate(_as_list(_require(top, "moves", ""), "moves"))
     )
     return MoveSequence(fingerprint, moves)

@@ -24,6 +24,19 @@ ball by Newman's theorem.
 A complex is reported as a combinatorial manifold when every vertex link
 passes its sphere-or-ball check; links of higher-dimensional simplices are
 links of vertices inside those links, so nothing further needs checking.
+From dimension four up the check first asks the complex for its own
+verdict.  Bistellar moves keep the PL type (Pachner), so a closed complex
+the reduction takes to the boundary of a simplex is a PL sphere, and a
+complex that the cone route proves a ball is a PL ball; every vertex link of
+either is a PL sphere or ball, and the answer is YES with no link decided.
+A closed complex asks only when it has the homology of a sphere, so a
+closed non-sphere pays one homology call and no reduction.  Any other
+answer falls through to the vertex links, which reuse the verdicts already
+found.  In dimension three the links are surfaces, decided exactly with no
+reduction, and one reduction of the whole complex costs more than all of
+them, so dimension three asks the links alone.  The verdict's reduction
+runs with no move budget: the greedy reducer's own stall rule ends it.
+
 One generator walks the vertex links, for surfaces, for stalled closed
 complexes and for the manifold check.  Each link gets one verdict per check:
 the recursion reaches lk(vw, K) once from v and once from w, so every
@@ -208,8 +221,9 @@ def _decide(k: Complex, expect_dim: int, verdicts: dict):
 
 def check_combinatorial_manifold(k: Complex) -> ManifoldReport:
     """Full report: purity, the exact pseudomanifold test, the boundary
-    subcomplex, and the vertex-link verdict described in the module
-    docstring.
+    subcomplex, and the verdict described in the module docstring: from
+    dimension four up the whole complex's own, else that of every vertex
+    link.
 
     >>> from .complexes import boundary_of_simplex
     >>> check_combinatorial_manifold(boundary_of_simplex(3)).verdict.value
@@ -233,8 +247,15 @@ def check_combinatorial_manifold(k: Complex) -> ManifoldReport:
         return ManifoldReport(pure, False, Verdict.NO, boundary, tuple(offenders))
     if k.dim == 0:
         return ManifoldReport(pure, True, Verdict.YES, boundary)
+    verdicts = {}
+    if (
+        k.dim >= 4
+        and (boundary or _homology_ok(k, closed=True))
+        and _verdict(k, k.dim, verdicts)[0] is Verdict.YES
+    ):
+        return ManifoldReport(pure, True, Verdict.YES, boundary)
     link_verdicts = []
-    for vertex, verdict in _link_verdicts(k, {}):
+    for vertex, verdict in _link_verdicts(k, verdicts):
         link_verdicts.append(verdict)
         if verdict is Verdict.NO:
             offenders.append((vertex, "vertex link is not a sphere or ball"))

@@ -541,7 +541,7 @@ class MoveSet:
 
 
 def greedy_reduction(
-    ms: MoveSet, move_budget: int = 600, seed: int = 0
+    ms: MoveSet, move_budget: int | None = None, seed: int = 0
 ) -> list[tuple[Simplex, Simplex]]:
     """Advance ``ms`` toward the f-vector of a simplex boundary; return the
     moves (a, b) applied, in order.
@@ -550,8 +550,12 @@ def greedy_reduction(
     least a); on a plateau, spend an allowance of 8 f_0 + 16 seeded sideways
     or mildly uphill moves, never exceeding the recorded simplex-count
     high-water mark plus 2.  Stops at the target f-vector, on stall, or
-    after ``move_budget`` moves.  ``reduce`` records the moves as a
-    certificate; the sphere verdict asks only whether the target was reached.
+    after ``move_budget`` moves when one is given.  The stall rule alone
+    bounds the run: there are at most 8 f_0 + 16 sideways or uphill moves,
+    none ending more than 2 above the high-water mark, and every other move
+    lowers the simplex count.  So the sphere verdict, which asks only
+    whether the target was reached, gives no budget; ``reduce`` gives one
+    and records the moves as a certificate.
 
     Since |a| + |b| = d + 2, a move's change of the simplex count,
     2^|a| - 2^|b|, grows with |a| alone.  So a step reads the move set's
@@ -570,7 +574,7 @@ def greedy_reduction(
     applied = []
     high = sum(ms.f_vector)
     sideways_left = 8 * ms.f_vector[0] + 16
-    while len(applied) < move_budget:
+    while move_budget is None or len(applied) < move_budget:
         if ms.f_vector == minimal:
             break
         least = next((n for n in range(1, size + 1) if ms.faces(n)), None)

@@ -165,10 +165,9 @@ def validate_stark_complex(x: FilteredComplex) -> FiltrationReport:
                 continue
             report = check_combinatorial_manifold(body)
             if report.verdict is Verdict.NO:
-                detail = report.offenders[0][1] if report.offenders else "not a manifold"
                 findings.append(
                     "a component closure in stratum %d fails the manifold"
-                    " check: %s" % (k, detail)
+                    " check: %s" % (k, report.offenders[0][1])
                 )
             elif report.verdict is Verdict.UNKNOWN:
                 notes.append(

@@ -5,7 +5,13 @@ from itertools import combinations
 from plmoves import EMPTY, Complex, Simplex, Verdict, join, link, stellar_subdivide
 from plmoves.complexes import _as_simplex
 from plmoves.homology import euler_characteristic
-from plmoves.manifold import _crowded_ridges, _is_connected
+from plmoves.manifold import (
+    ManifoldReport,
+    _combine,
+    _crowded_ridges,
+    _is_connected,
+    _link_verdicts,
+)
 
 
 def hexagon_disk() -> Complex:
@@ -27,6 +33,16 @@ def pair_complex_through(suspension, level: int) -> Complex:
     for plus, minus in suspension.apexes[: level - suspension.start]:
         out = join(out, Complex([(plus,), (minus,)]))
     return out
+
+
+def shifted(k: Complex, by: int) -> Complex:
+    """``k`` with every vertex label raised by ``by``."""
+    return Complex([tuple(v + by for v in f) for f in k.facets])
+
+
+def disjoint_union(k1: Complex, k2: Complex) -> Complex:
+    """``k1`` beside a copy of ``k2`` with its labels raised by 300."""
+    return Complex(list(k1.facets) + list(shifted(k2, 300).facets))
 
 
 def run_cli(argv, stdin=None):
@@ -184,3 +200,33 @@ def _verdict(k: Complex, expect_dim: int, verdicts: dict):
 def reference_sphere_or_ball_verdict(k: Complex, expect_dim: int):
     """``sphere_or_ball_verdict(k, expect_dim)`` for ``expect_dim`` at most 2."""
     return _verdict(k, expect_dim, {})
+
+
+def reference_manifold_report(k: Complex) -> ManifoldReport:
+    """``check_combinatorial_manifold`` link by link in every dimension: the
+    check as it ran before a complex of dimension four and up was asked for
+    its own verdict first."""
+    if not k:
+        return ManifoldReport(True, True, Verdict.YES, EMPTY)
+    offenders = []
+    pure = k.is_pure
+    if not pure:
+        dims = sorted({f.dim for f in k.facets})
+        offenders.append((sorted(k.facets)[0], "facet dimensions are mixed: %s" % dims))
+    pseudo = pure
+    for r, c in _crowded_ridges(k):
+        pseudo = False
+        offenders.append((r, "ridge lies in %d facets" % c))
+    boundary = k.boundary_complex
+    if not pseudo:
+        return ManifoldReport(pure, False, Verdict.NO, boundary, tuple(offenders))
+    if k.dim == 0:
+        return ManifoldReport(pure, True, Verdict.YES, boundary)
+    link_verdicts = []
+    for vertex, verdict in _link_verdicts(k, {}):
+        link_verdicts.append(verdict)
+        if verdict is Verdict.NO:
+            offenders.append((vertex, "vertex link is not a sphere or ball"))
+        elif verdict is Verdict.UNKNOWN:
+            offenders.append((vertex, "vertex link verdict unknown"))
+    return ManifoldReport(pure, True, _combine(link_verdicts), boundary, tuple(offenders))

@@ -46,6 +46,8 @@ def test_filtered_complex_shape_checks():
     # a stratum may not exceed its index dimension
     with pytest.raises(FiltrationError):
         FilteredComplex((bipyramid(), bipyramid(), bipyramid()))
+    with pytest.raises(FiltrationError, match="top stratum has dimension 2, expected at most 1"):
+        FilteredComplex((EMPTY, bipyramid()))
 
 
 def test_validate_filtration_on_demos():

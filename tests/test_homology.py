@@ -71,6 +71,7 @@ def test_projective_plane_torsion():
 
 
 def test_disconnected_and_contractible():
+    assert homology(EMPTY) == []
     two_points = Complex([(1,), (2,)])
     assert groups(two_points) == [(2, ())]
     solid = Complex([(1, 2, 3, 4)])

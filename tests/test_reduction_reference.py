@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from plmoves import Complex, boundary_of_simplex, random_walk
+from plmoves import Complex, boundary_of_simplex, f_vector, join, random_walk
 from plmoves.complexes import Simplex
+from plmoves.demos import torus7
 from plmoves.homology import minimal_sphere_f_vector
 from plmoves.moves import MoveSet, fsum_delta, greedy_reduction
 
@@ -101,6 +102,29 @@ def test_greedy_reduction_takes_the_moves_of_the_sorting_loop():
     assert min(deltas) < 0 and 0 in deltas and max(deltas) > 0
     # and the allowance decides on the cross-polytope
     assert greedy_reduction(MoveSet(_cross_polytope_boundary(4))) == []
+
+
+def test_the_stall_rule_ends_a_reduction_with_no_budget():
+    # the sphere verdict runs the reduction without a move budget; the
+    # suspended torus is no sphere, and a walk of it reduces past reduce's
+    # 600 moves to an 8-vertex state with no downhill move, then stops once
+    # its 8 f_0 + 16 sideways or uphill moves are spent
+    suspended = join(torus7(), Complex([(100,), (101,)]))
+    walked, _ = random_walk(suspended, 60, seed=2)
+    ms = MoveSet(walked)
+    applied = greedy_reduction(ms)
+    assert len(applied) > 600
+    assert applied[:600] == greedy_reduction(MoveSet(walked), 600)
+    assert sum(fsum_delta(a, b) >= 0 for a, b in applied) == 8 * len(walked.vertices) + 16
+    assert ms.f_vector == (8, 28, 44, 22)
+
+
+def test_a_move_set_with_no_move_ends_the_reduction():
+    walked, _ = random_walk(boundary_of_simplex(4), 20, seed=1)
+    ms = MoveSet(walked, avoid=walked)
+    assert not ms.faces()
+    assert greedy_reduction(ms) == []
+    assert ms.f_vector == f_vector(walked) != minimal_sphere_f_vector(3)
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,8 @@ def test_cone_extend_rejects_unresolvable_supports():
     collision = StarkNeighborhood(Complex([(1, 2)]), (((3, {1, 2}),),))
     with pytest.raises(StarkError, match="collides"):
         cone_extend(stellar_subdivide(Complex([(1, 2)]), (1, 2), new_vertex=3), collision)
+    with pytest.raises(StarkError, match="must be a pure 1-complex"):
+        cone_extend(Complex([(1, 2), (5,)]), StarkNeighborhood(base, ()))
 
 
 def test_stark_apply_matches_filtered_apply():
