@@ -98,17 +98,11 @@ def _move_line(record: MoveRecord) -> str:
     m = record.move
     if record.kind == "bistellar":
         return "bistellar %s %s" % (list(m.a), list(m.b))
-    if record.kind == "extended":
-        return "extended %s %s stratum=%d apexes=%s" % (
-            list(m.inner.a),
-            list(m.inner.b),
-            m.stratum,
-            [tuple(p) for p in m.suspension.apexes],
-        )
-    return "stark %s %s apexes=%s" % (
+    return "extended %s %s stratum=%d apexes=%s" % (
         list(m.inner.a),
         list(m.inner.b),
-        list(m.neighborhood.apexes),
+        m.stratum,
+        [tuple(p) for p in m.suspension.apexes],
     )
 
 

@@ -10,32 +10,29 @@ up no ridge may lie in three facets.  A surface is a sphere or a disk, by
 the classification of surfaces, exactly when its vertex links are circles
 or arcs and its Euler characteristic is 2, or 1 when it has boundary.
 
-In dimension three and above the verdict falls back on
+In dimension three and above the verdict takes one order.  A complex K with
+boundary needs the homology of a point and a sphere for boundary, and its
+target is K with that boundary coned off; a closed complex needs the
+homology of a sphere, and is its own target.  Then
 ``moves.greedy_reduction``, the one greedy bistellar reducer, which
-``reduce`` runs too.  A closed complex is reduced first: reaching the
-boundary of a simplex proves a PL sphere, on which no exact necessary
-condition can fail, so the answer is YES at once.  Only a stall runs the
-homology of a sphere and the vertex links; they turn it into NO, or leave it
-UNKNOWN.  A complex K with boundary needs the homology of a point and a
-sphere for boundary, and is a ball when coning off that boundary gives a
-sphere: K is then that sphere less the open star of the cone point, a PL
-ball by Newman's theorem.
+``reduce`` runs too, reduces the target with no move budget: its stall rule
+ends it.  Reaching the boundary of a simplex proves a PL sphere (Pachner),
+so K is a sphere, or a ball by Newman's theorem: K is then that sphere less
+the open star of the cone point.  After a stall a closed complex asks its
+vertex links, which turn it into NO or leave it UNKNOWN; a complex with
+boundary stays UNKNOWN.
 
 A complex is reported as a combinatorial manifold when every vertex link
 passes its sphere-or-ball check; links of higher-dimensional simplices are
 links of vertices inside those links, so nothing further needs checking.
 From dimension four up the check first asks the complex for its own
-verdict.  Bistellar moves keep the PL type (Pachner), so a closed complex
-the reduction takes to the boundary of a simplex is a PL sphere, and a
-complex that the cone route proves a ball is a PL ball; every vertex link of
-either is a PL sphere or ball, and the answer is YES with no link decided.
-A closed complex asks only when it has the homology of a sphere, so a
-closed non-sphere pays one homology call and no reduction.  Any other
-answer falls through to the vertex links, which reuse the verdicts already
-found.  In dimension three the links are surfaces, decided exactly with no
-reduction, and one reduction of the whole complex costs more than all of
-them, so dimension three asks the links alone.  The verdict's reduction
-runs with no move budget: the greedy reducer's own stall rule ends it.
+verdict.  Bistellar moves keep the PL type, so every vertex link of a PL
+sphere or ball is a PL sphere or ball, and a YES is the answer with no link
+decided; a closed non-sphere pays one homology call and no reduction.  Any
+other answer falls through to the vertex links, which reuse the verdicts
+already found.  In dimension three the links are surfaces, decided exactly
+with no reduction, and one reduction of the whole complex costs more than
+all of them, so dimension three asks the links alone.
 
 One generator walks the vertex links, for surfaces, for stalled closed
 complexes and for the manifold check.  Each link gets one verdict per check:
@@ -90,8 +87,6 @@ class ManifoldReport:
 
 def _is_connected(k: Complex) -> bool:
     verts = list(k.vertices)
-    if not verts:
-        return True
     adjacency = {v: set() for v in verts}
     for f in k.facets:
         for a in f:
@@ -190,40 +185,37 @@ def _decide(k: Complex, expect_dim: int, verdicts: dict):
         if euler_characteristic(k) != (1 if boundary else 2):
             return Verdict.NO, None
         return Verdict.YES, "ball" if boundary else "sphere"
-    if not boundary:
+    if not boundary and len(k.vertices) == len(k.facets) == d + 2:
         # d + 2 distinct d-facets on d + 2 vertices are every d-face of the
         # (d+1)-simplex, so k is its boundary and needs no reduction
-        if len(k.vertices) == len(k.facets) == d + 2:
-            return Verdict.YES, "sphere"
-        # a reduction proves a PL sphere, on which no check below says no
-        ms = MoveSet(k)
-        greedy_reduction(ms)
-        if ms.f_vector == minimal_sphere_f_vector(d):
-            return Verdict.YES, "sphere"
-        if not _homology_ok(k, closed=True) or any(
-            v is Verdict.NO for _, v in _link_verdicts(k, verdicts)
-        ):
+        return Verdict.YES, "sphere"
+    if not _homology_ok(k, closed=not boundary):
+        return Verdict.NO, None
+    target = k
+    if boundary:
+        # Newman: k is a ball when coning off its sphere boundary gives a sphere
+        bverdict, bkind = _verdict(boundary, d - 1, verdicts)
+        if bverdict is Verdict.UNKNOWN:
+            return Verdict.UNKNOWN, None
+        if bkind != "sphere":
             return Verdict.NO, None
-        return Verdict.UNKNOWN, None
-    if not _homology_ok(k, closed=False):
-        return Verdict.NO, None
-    bverdict, bkind = _verdict(boundary, d - 1, verdicts)
-    if bverdict is Verdict.NO or (bverdict is Verdict.YES and bkind != "sphere"):
-        return Verdict.NO, None
-    if bverdict is Verdict.YES:
         capped = cone(boundary, fresh_vertex(k))
-        merged = Complex(list(k.facets) + list(capped.facets), _trusted=True)
-        sv, skind = _verdict(merged, d, verdicts)
-        if sv is Verdict.YES and skind == "sphere":
-            return Verdict.YES, "ball"
+        target = Complex(list(k.facets) + list(capped.facets), _trusted=True)
+    # Pachner: a reduction to the boundary of a simplex proves a PL sphere
+    ms = MoveSet(target)
+    greedy_reduction(ms)
+    if ms.f_vector == minimal_sphere_f_vector(d):
+        return Verdict.YES, "ball" if boundary else "sphere"
+    if not boundary and any(v is Verdict.NO for _, v in _link_verdicts(k, verdicts)):
+        return Verdict.NO, None
     return Verdict.UNKNOWN, None
 
 
 def check_combinatorial_manifold(k: Complex) -> ManifoldReport:
     """Full report: purity, the exact pseudomanifold test, the boundary
     subcomplex, and the verdict described in the module docstring: from
-    dimension four up the whole complex's own, else that of every vertex
-    link.
+    dimension four up the whole complex's own when it is YES, else that of
+    every vertex link.
 
     >>> from .complexes import boundary_of_simplex
     >>> check_combinatorial_manifold(boundary_of_simplex(3)).verdict.value
@@ -248,11 +240,7 @@ def check_combinatorial_manifold(k: Complex) -> ManifoldReport:
     if k.dim == 0:
         return ManifoldReport(pure, True, Verdict.YES, boundary)
     verdicts = {}
-    if (
-        k.dim >= 4
-        and (boundary or _homology_ok(k, closed=True))
-        and _verdict(k, k.dim, verdicts)[0] is Verdict.YES
-    ):
+    if k.dim >= 4 and _verdict(k, k.dim, verdicts)[0] is Verdict.YES:
         return ManifoldReport(pure, True, Verdict.YES, boundary)
     link_verdicts = []
     for vertex, verdict in _link_verdicts(k, verdicts):

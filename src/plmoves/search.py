@@ -519,13 +519,7 @@ def _align_states(fc1: FilteredComplex, fc2: FilteredComplex, budget: SearchBudg
             (end_labels - fc.complex.vertices) | {fresh_vertex(fc.complex)}
         )
         for k in range(1, fc.n + 1):
-            mk = fc.strata[k]
-            if not mk or mk.dim != k:
-                continue
-            avoid = _stratum_avoid(fc, k)
-            for facet in sorted(mk.facets):
-                if facet.dim != k or facet in avoid:
-                    continue
+            for facet in sorted(fc.strata[k].facets):
                 for v in labels:
                     grow = _extended_move(fc, k, BistellarMove(facet, Simplex([v])))
                     if grow is not None:

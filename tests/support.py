@@ -2,9 +2,23 @@
 
 from itertools import combinations
 
-from plmoves import EMPTY, Complex, Simplex, Verdict, join, link, stellar_subdivide
+from plmoves import (
+    EMPTY,
+    Complex,
+    Simplex,
+    Verdict,
+    boundary_of_simplex,
+    check_combinatorial_manifold,
+    join,
+    link,
+    manifold,
+    moves,
+    random_walk,
+    sphere_or_ball_verdict,
+    stellar_subdivide,
+)
 from plmoves.complexes import _as_simplex
-from plmoves.homology import euler_characteristic
+from plmoves.homology import euler_characteristic, homology
 from plmoves.manifold import (
     ManifoldReport,
     _combine,
@@ -43,6 +57,40 @@ def shifted(k: Complex, by: int) -> Complex:
 def disjoint_union(k1: Complex, k2: Complex) -> Complex:
     """``k1`` beside a copy of ``k2`` with its labels raised by 300."""
     return Complex(list(k1.facets) + list(shifted(k2, 300).facets))
+
+
+def stalled_4_sphere() -> Complex:
+    """A 140-facet join of a walked circle and a walked 2-sphere: a PL
+    4-sphere on which the greedy reducer stalls, as it does on several of
+    its vertex links, so its verdict and its manifold check are UNKNOWN."""
+    circle = random_walk(boundary_of_simplex(2), 8, seed=0)[0]
+    sphere = random_walk(boundary_of_simplex(3), 14, seed=0)[0]
+    return join(circle, shifted(sphere, 100))
+
+
+def checked_with_builds(k, monkeypatch, homologies=None, expect_dim=None):
+    """The check of ``k``, or its sphere-or-ball verdict in ``expect_dim``
+    when one is given, and the complexes of the move sets it built.  A
+    ``Counter`` passed as ``homologies`` counts each complex whose homology
+    the verdicts computed."""
+    built = []
+    init = moves.MoveSet.__init__
+
+    def counting(self, complex_, *args, **kwargs):
+        built.append(complex_)
+        init(self, complex_, *args, **kwargs)
+
+    def counted_homology(complex_):
+        homologies[complex_] += 1
+        return homology(complex_)
+
+    with monkeypatch.context() as m:
+        m.setattr(moves.MoveSet, "__init__", counting)
+        if homologies is not None:
+            m.setattr(manifold, "homology", counted_homology)
+        if expect_dim is None:
+            return check_combinatorial_manifold(k), built
+        return sphere_or_ball_verdict(k, expect_dim), built
 
 
 def run_cli(argv, stdin=None):

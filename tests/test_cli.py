@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import plmoves
 from plmoves import (
+    EMPTY,
     BistellarMove,
     Complex,
     DocumentError,
@@ -41,7 +42,7 @@ from plmoves import (
     replay,
     to_complex,
 )
-from plmoves.demos import demo_document, knot_model, torus7
+from plmoves.demos import bipyramid, demo_document, knot_model, torus7
 from support import run_cli
 
 
@@ -364,6 +365,32 @@ def test_align_identity(tmp_path):
     code, out, _ = run_cli(["align", "--input", f, "--target", f])
     assert code == 0
     assert json.loads(out)["moves"] == []
+
+
+def test_align_budget_exhaustion(tmp_path):
+    fc = filtered_s2_equator()
+    start = write(tmp_path, "start.json", emit_document(document_for_filtered(fc)))
+    end = random_extended_walk(fc, 3, seed=2)[0]
+    target = write(tmp_path, "end.json", emit_document(document_for_filtered(end)))
+    code, out, _ = run_cli(["align", "--input", start, "--target", target, "--depth", "1"])
+    assert code == 1
+    assert out == "not found within budget\n"
+
+
+def test_validate_prints_each_finding(tmp_path):
+    # the tripod 1-2, 1-3, 1-4 of the bipyramid is no manifold
+    tripod = Complex([(1, 2), (1, 3), (1, 4)])
+    fc = FilteredComplex((EMPTY, tripod, bipyramid()))
+    f = write(tmp_path, "tripod.json", emit_document(document_for_filtered(fc)))
+    code, out, _ = run_cli(["validate", "--input", f])
+    assert code == 1
+    assert out.splitlines() == [
+        "filtered 2-complex",
+        "finding: stratum 1 fails the manifold check: combinatorial manifold: no;"
+        " offenders: [1] (ridge lies in 3 facets)",
+        "note: local flatness of strata is assumed, not checked",
+        "invalid",
+    ]
 
 
 def test_apply_rejects_wrong_start(tmp_path):

@@ -97,6 +97,8 @@ def test_empty_complex_is_falsy_identity():
     k = Complex([(1, 2)])
     assert join(EMPTY, k) == k
     assert join(k, EMPTY) == k
+    assert repr(EMPTY) == "Complex([])"
+    assert repr(Complex([(3,), (2, 1)])) == "Complex([(1, 2), (3,)])"
 
 
 def test_equality_and_hash_by_facets():

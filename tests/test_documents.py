@@ -65,6 +65,8 @@ def test_parse_rejects_malformed_documents():
         parse_document("{nope")
     with pytest.raises(DocumentError, match="at least"):
         parse_document('{"dimension": 1, "facets": [[-1, 2]]}')
+    with pytest.raises(DocumentError, match="^JSON nested too deeply$"):
+        parse_document('{"dimension": 1, "facets": ' + "[" * 5000 + "]" * 5000 + "}")
 
 
 def test_strata_must_sit_below_the_top_dimension():

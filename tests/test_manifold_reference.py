@@ -17,10 +17,9 @@ from plmoves import (
     star,
     suspension,
 )
-from plmoves import moves
 from plmoves.demos import rp2_6, torus7
 from plmoves.manifold import _homology_ok
-from support import disjoint_union, reference_manifold_report, shifted
+from support import checked_with_builds, disjoint_union, reference_manifold_report, shifted
 
 
 def walked(draw, n, most):
@@ -73,20 +72,6 @@ def drawn_complexes(draw):
         k = suspension(surface, 200, 201)
     k = random_walk(k, draw(st.integers(0, 6)), seed=draw(st.integers(0, 10**6)))[0]
     return cone(k, fresh_vertex(k)) if kind == "cone over suspended" else k
-
-
-def checked_with_builds(k, monkeypatch):
-    """The check of ``k`` and the complexes of the move sets it built."""
-    built = []
-    init = moves.MoveSet.__init__
-
-    def counting(self, complex_, *args, **kwargs):
-        built.append(complex_)
-        init(self, complex_, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(moves.MoveSet, "__init__", counting)
-        return check_combinatorial_manifold(k), built
 
 
 def assert_only_unknown_turns_yes(got, want):

@@ -47,8 +47,9 @@ from plmoves.demos import (
     sphere_boundary,
     torus7,
 )
+from plmoves.filtration import _extended_move
 from plmoves.moves import MoveSet, _inserted_facets
-from plmoves.search import _FacetTexts, _fresh_without
+from plmoves.search import _align_fast, _FacetTexts, _fresh_without
 from support import disk_with_interior_triangle, hexagon_disk, without
 
 
@@ -64,6 +65,8 @@ def test_state_fingerprint_is_label_sensitive_and_stable():
 def test_move_record_rejects_unknown_kind():
     with pytest.raises(SearchError):
         MoveRecord("teleport", BistellarMove((1, 2, 3), (9,)))
+    with pytest.raises(SearchError, match="^extended record needs a ExtendedMove$"):
+        MoveRecord("extended", BistellarMove((1, 2), (3, 4)))
 
 
 def test_replay_roundtrip_and_mismatch():
@@ -315,6 +318,29 @@ def test_stratified_align_rejects_invalid_ends():
     bad = FilteredComplex((EMPTY, y_graph, cone(y_graph, 5)))
     with pytest.raises(SearchError, match="filtration invalid"):
         stratified_align(bad, bad)
+
+
+def test_stratified_align_returns_none_on_an_exhausted_budget():
+    fc = filtered_s2_equator()
+    end = random_extended_walk(fc, 3, seed=2)[0]
+    assert stratified_align(fc, end, SearchBudget(depth=1)) is None
+    assert replay(fc, stratified_align(fc, end)) == end
+
+
+def test_align_fast_gives_up_on_a_stratum_it_cannot_align():
+    # the ends of the arc 1-2, which its inner moves keep, are not in the
+    # target arc 2-3
+    fc1 = FilteredComplex((EMPTY, Complex([(1, 2)]), bipyramid()))
+    fc2 = FilteredComplex((EMPTY, Complex([(2, 3)]), bipyramid()))
+    assert _align_fast(fc1, fc2, SearchBudget()) is None
+    # the one inner move from the square 1-2-3-4 to the equator 1-2-3
+    # removes the vertex 4, which lies in five triangles, so its star is no
+    # suspension of the path 1-4-3 and the move has no lift
+    square = Complex([(1, 2), (2, 3), (3, 4), (1, 4)])
+    octahedron = Complex([(a, b, p) for a, b in square.facets for p in (5, 6)])
+    fc1 = FilteredComplex((EMPTY, square, stellar_subdivide(octahedron, (3, 4, 5), 7)))
+    assert _extended_move(fc1, 1, BistellarMove((4,), (1, 3))) is None
+    assert _align_fast(fc1, filtered_s2_equator(), SearchBudget()) is None
 
 
 def test_find_isomorphism():

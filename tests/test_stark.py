@@ -16,17 +16,20 @@ from plmoves import (
     apply_stark_move,
     cone_extend,
     enumerate_extended_moves,
+    fresh_vertex,
     inverse_neighborhood,
     neighborhood_from_suspension,
     schema_of,
     stark_obstruction,
     stark_schema_census,
+    star,
     stellar_subdivide,
     validate_stark_complex,
     validate_stark_neighborhood,
 )
 from plmoves.demos import filtered_s2_equator, join_fan, knot_model
 from plmoves.moves import replaced_ball
+from support import stalled_4_sphere
 
 
 def test_stark_complex_is_a_filtration():
@@ -134,6 +137,7 @@ def test_schema_census_weights():
     assert schema.levels == ((2, 2), (4, 4))
     assert schema.apex_count == 4
     assert schema.weight == 5
+    assert str(schema) == "k=1 levels=[[2, 2], [4, 4]]"
     census = stark_schema_census(nbhds)
     assert census.size == 5
     # duplicates collapse: the census is of schemas, not neighborhoods
@@ -273,3 +277,43 @@ def test_every_stark_obstruction_finding_and_note_is_pinned():
     for x, nbhd, findings, notes in neighborhoods:
         report = validate_stark_neighborhood(x, nbhd)
         assert (report.ok, report.findings, report.notes) == (False, findings, notes)
+
+
+def test_the_undecided_notes_of_a_stalled_4_sphere():
+    # the greedy reducer stalls on this PL 4-sphere and on its coned-off
+    # vertex stars, so every ball and manifold check of it is undecided
+    s = stalled_4_sphere()
+    assumed = (
+        "neighborhood existence (condition 4) is assumed; validate each"
+        " supplied neighborhood separately"
+    )
+    report = validate_stark_complex(FilteredComplex((EMPTY,) * 4 + (s,)))
+    assert (report.ok, report.findings, report.notes) == (
+        True,
+        (),
+        (assumed, "manifold check undecided for a component closure in stratum 4"),
+    )
+    b = star((2,), s)
+    report = validate_stark_neighborhood(
+        FilteredComplex((EMPTY,) * 4 + (b,)), StarkNeighborhood(b, ())
+    )
+    assert (report.ok, report.findings, report.notes) == (
+        True,
+        (),
+        ("ball check for the base undecided",),
+    )
+    apex = fresh_vertex(b)
+    report = validate_stark_neighborhood(
+        FilteredComplex((EMPTY,) * 4 + (b, b)),
+        StarkNeighborhood(b, _one_level((apex, b.vertices))),
+    )
+    assert (report.ok, report.findings, report.notes) == (
+        True,
+        (),
+        (
+            "ball check for the base undecided",
+            "ball check for the cell of apex %d undecided" % apex,
+            "1 apex labels are not vertices of the space (abstract neighborhood);"
+            " moves need realized apexes",
+        ),
+    )
