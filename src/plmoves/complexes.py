@@ -16,13 +16,10 @@ simplex, or the sorted union of two disjoint simplices, is a valid simplex
 by construction, so faces, link facets and joins of existing simplices are
 built with ``tuple.__new__(Simplex, vertices)`` and skip the checks.  The
 faces of a complex are enumerated once, into its star index, from which the
-face set, face membership and the boundary are all read.  A checked move
-does not enumerate them again: ``apply_bistellar``, and
-``apply_extended_bistellar`` on each stratum it rebuilds, hand the result a
-star index derived from the parent's, in which only the stars of the faces
-of the removed and inserted facets differ, the parent's boundary and
-dimension as well, and the vertices changed by those that came or went.
-Replaying a certificate enumerates the faces of its first state only.
+face set, face membership and the boundary are all read.  A move does not
+enumerate them again: ``moves._Stars`` updates an index in place, and its
+``complex()`` alone hands a complex its index, dimension, vertices and
+boundary, so a replay enumerates the faces of its first state only.
 """
 
 from __future__ import annotations

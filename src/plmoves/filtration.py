@@ -37,7 +37,7 @@ from .complexes import (
     product_with_interval,
 )
 from .manifold import Verdict, check_combinatorial_manifold
-from .moves import BistellarMove, MoveError, _derived, _inserted_facets, enumerate_moves
+from .moves import BistellarMove, MoveError, _inserted_facets, _Stars, enumerate_moves
 
 
 class FiltrationError(ValueError):
@@ -212,10 +212,9 @@ def apply_extended_bistellar(fc: FilteredComplex, move: ExtendedMove) -> Filtere
     """Replace the iterated suspension of [A * dB] with that of [dA * B] in
     every stratum from the move's own upward.  Restriction to M_k is the
     plain bistellar move; lower strata are untouched.  Each rebuilt stratum
-    is handed its parent's boundary, which it keeps: the replaced and the
-    inserted ball share their frontier boundary(a) * boundary(b) * P_l.
-    Each rebuilt stratum derives its star index from its parent's, one facet
-    p of P_l at a time, through the star update of a plain move.
+    is a ``moves._Stars`` of its parent advanced one facet p of P_l at a
+    time; it keeps the boundary, as the replaced and the inserted ball
+    share their frontier boundary(a) * boundary(b) * P_l.
 
     >>> from .demos import filtered_s2_equator
     >>> from .homology import f_vector
@@ -236,11 +235,10 @@ def apply_extended_bistellar(fc: FilteredComplex, move: ExtendedMove) -> Filtere
     a, b = move.inner.a, move.inner.b
     new_strata = list(fc.strata[:k])
     for level in range(k, fc.n + 1):
+        stars = _Stars(fc.strata[level])
         # the facets p of P_level, one apex of each pair
-        apexes = product(*move.suspension.apexes[: level - k])
-        out = _derived(fc.strata[level], a, b, apexes)
-        out.__dict__["boundary_complex"] = fc.strata[level].boundary_complex
-        new_strata.append(out)
+        stars.apply(a, b, product(*move.suspension.apexes[: level - k]))
+        new_strata.append(stars.complex())
     return FilteredComplex(tuple(new_strata))
 
 

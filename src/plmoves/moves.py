@@ -13,37 +13,24 @@ the star index, in one helper, ``_co_simplex``, which the move set and the
 checked moves (``applicability_obstruction``, ``bistellar_applicable``,
 ``apply_bistellar``) all ask; a checked move builds no link complex.
 
-A move changes only the closed star of A (Pachner's locality), and the move
-set is kept the same way.  :class:`MoveSet` reads the star index of a
-complex once and asks the rule at every face; applying a move updates only
-the stars of the proper faces of A + B, and asks the rule again only where
-a star was kept and changed: the faces that vanish or appear, and those
-linked to them, are decided in closed form.  It keeps its faces that have
-a move in order, sorted once on construction into one list and one list
-per face size, and moves a face in or out by bisection when the face gains
-or loses its move, so no step sorts anything.  ``enumerate_moves`` reads a
-fresh MoveSet once.  Random walks and ``greedy_reduction``, the one greedy
-reducer behind both ``reduce`` and the sphere verdict, follow one MoveSet
-through all their steps and do not verify each step: a walk draws from the
-ordered faces, and a reduction step reads the size lists, since a move's
-``fsum_delta`` depends on |a| alone.  Both end in ``MoveSet.complex()``,
-which hands its complex the move set's star index, dimension and vertices;
-``flip_search`` gives each state a copy of its parent's MoveSet advanced by
-the one move that made it; its states are bare facet sets, and each
-successor is the state's facets minus that MoveSet's star of a plus the
-inserted facets, unverified.  Replaying the certificate they return, which
-re-checks every precondition, is the check.
+A move changes only the closed star of A (Pachner's locality), so a star
+index is kept in place.  ``_Stars`` holds one: a move updates the stars of
+the proper faces of A + B through the one kernel ``_move_stars``, one pass
+over those faces read against a table of the positions each face misses,
+and ``complex()`` hands its complex the index, dimension, vertices and
+boundary.  ``apply_bistellar`` checks a move on a ``_Stars`` of its
+complex, which answers every check as the complex does, and applies it;
+``replay`` checks and applies every move of a plain certificate on one
+``_Stars`` and builds one complex, at the end; ``apply_extended_bistellar``
+advances one ``_Stars`` per stratum it rebuilds.
 
-A checked move builds its result once.  After its checks,
-``apply_bistellar`` hands the result what the checks built on the parent:
-a star index, dimension and vertices derived from the parent's
-(``_derived``), and the parent's boundary, which a move at an interior face
-keeps; ``apply_extended_bistellar`` does the same on each stratum it
-rebuilds.  So a replayed certificate builds the index, the boundary and the
-vertices of its first state only.  ``MoveSet.apply`` and ``_derived``, and
-so every plain and extended checked move, update a star index through the
-one kernel ``_move_stars``: one pass over the faces of A + B, read against
-a table of the positions each face misses, cached per size of A + B.
+:class:`MoveSet` is a ``_Stars`` plus its candidate lists, kept in order,
+which a move changes only where a star was kept and changed.
+``enumerate_moves`` reads a fresh MoveSet; random walks and
+``greedy_reduction``, the one greedy reducer, follow one through all their
+steps, and ``flip_search`` gives each state a copy of its parent's advanced
+by the move that made it.  None of them verifies a step: replaying the
+certificate they return, which re-checks every precondition, is the check.
 """
 
 from __future__ import annotations
@@ -72,11 +59,6 @@ class MoveError(ValueError):
 
 
 _NO_MOVE = object()  # MoveSet._mark's b for a face without a move
-
-
-def fsum_delta(a, b) -> int:
-    """Change of the total simplex count under chi_(a, b): 2^|a| - 2^|b|."""
-    return (1 << len(a)) - (1 << len(b))
 
 
 def _co_simplex(fs: tuple, a: Simplex, size: int) -> Simplex | None:
@@ -199,44 +181,6 @@ def _move_stars(star: dict, gone, a: Simplex, b: Simplex, p: tuple = ()):
     return kept, vanished, appeared
 
 
-def _derived(k: Complex, a: Simplex, b: Simplex, apexes=((),)) -> Complex:
-    """The complex k after chi_(a, b), suspended over each apex facet p of
-    ``apexes`` in turn, its star index, dimension and vertices derived from
-    k's.
-
-    The move must be a checked one, at a face whose star is that of the
-    move: then the inserted facets all hold b, which k lacks, and none of
-    them is nested with a facet that stays.  Purity is not needed.  Only
-    the stars of the faces of the removed and inserted facets change
-    (``_move_stars``); a star that gained a facet is sorted again, so every
-    star is the sorted tuple that ``Complex._star_index`` builds.  The
-    vertices that come or go are the one-vertex faces that appeared or
-    vanished.
-    """
-    star = dict(k._star_index)
-    gone = star[a]
-    kept = []
-    vanished = []
-    appeared = []
-    for p in apexes:
-        update = _move_stars(star, gone, a, b, p)
-        kept += update[0]
-        vanished += update[1]
-        appeared += update[2]
-    for s in chain(kept, appeared):
-        if len(star[s]) > 1:
-            star[s] = tuple(sorted(star[s]))
-    vertices = k.vertices
-    lost = [s[0] for s in vanished if len(s) == 1]
-    new = [s[0] for s in appeared if len(s) == 1]
-    if lost or new:
-        vertices = vertices.difference(lost).union(new)
-    out = Complex(k.facets.difference(gone).union(star[b]), _trusted=True)
-    # the slots the cached properties fill
-    out.__dict__.update(_star_index=star, dim=k.dim, vertices=vertices)
-    return out
-
-
 @dataclass(frozen=True)
 class BistellarMove:
     """The move chi_(a, b).  dim(a) + dim(b) equals the ambient dimension;
@@ -262,7 +206,7 @@ class BistellarMove:
 
     def fsum_delta(self):
         """Change of the total simplex count: 2^|a| - 2^|b|."""
-        return fsum_delta(self.a, self.b)
+        return (1 << len(self.a)) - (1 << len(self.b))
 
     def __str__(self):
         return "chi(%s, %s)" % (list(self.a), list(self.b))
@@ -304,6 +248,107 @@ def bistellar_applicable(k: Complex, a, label_floor: int = -1) -> BistellarMove 
     return BistellarMove(a, _co_simplex(k._star_index[a], a, k.dim + 1))
 
 
+class _Stars:
+    """The star index of a complex, which moves change in place.
+
+    It answers the checks of a move (face membership, ``dim``,
+    ``boundary_complex``, ``_star_index``) as its complex does.  ``apply``
+    takes a move at a face whose star is the move's, pure or not; it keeps
+    the dimension and, at an interior face, the boundary, as the removed
+    and inserted balls share their frontier.  The index is shared with the
+    complex last built until a move writes it.
+    """
+
+    def __init__(self, k: Complex):
+        self._base = k  # the complex the state started from or last built
+        self._star_index = k._star_index  # face -> tuple of facets
+        self._shared = True  # whether another holder reads the index
+        self._applied = 0  # the moves applied since _base
+        self._last = None  # the last of them: a, b, removed facets, update
+        self.dim = k.dim
+        self.boundary_complex = k.boundary_complex
+
+    def __contains__(self, s):
+        return s in self._star_index
+
+    def copy(self):
+        """A state of the same complex that moves on its own."""
+        out = object.__new__(type(self))
+        self._shared = True
+        out.__dict__.update(self.__dict__)
+        return out
+
+    def apply(self, a: Simplex, b: Simplex, apexes=None):
+        """Apply chi_(a, b), suspended over each apex facet p of ``apexes``
+        if given; return the faces that kept a changed star, vanished and appeared."""
+        if self._shared:
+            self._star_index = dict(self._star_index)
+            self._shared = False
+        star = self._star_index
+        gone = star[a]
+        if apexes is None:
+            update = _move_stars(star, gone, a, b)
+        else:
+            updates = [_move_stars(star, gone, a, b, p) for p in apexes]
+            update = [sum(faces, []) for faces in zip(*updates)]
+        self._applied += 1
+        self._last = a, b, gone, update
+        return update
+
+    def apply_checked(self, move: BistellarMove):
+        """Apply ``move``, or raise MoveError naming the first of its
+        preconditions that fails."""
+        a, b = move.a, move.b
+        n = self.dim
+        if a not in self:
+            problem = "%s not in complex" % (a,)
+        elif move.n != n and not (a.dim == n and b.dim == 0 and b not in self):
+            problem = "dimensions do not match an %d-complex" % n
+        else:
+            problem = applicability_obstruction(self, a)
+        if problem is None and a.dim == n and (b.dim != 0 or b in self):
+            problem = "%s is not a fresh vertex" % (b,)
+        elif problem is None and a.dim < n:
+            expected = _co_simplex(self._star_index[a], a, n + 1)
+            if b != expected:
+                problem = "link of %s is the boundary of %s" % (a, expected)
+        if problem is not None:
+            raise MoveError("cannot apply %s: %s" % (move, problem))
+        self.apply(a, b)
+
+    def complex(self) -> Complex:
+        """The current complex, handed the star index, each star sorted as
+        ``Complex._star_index`` sorts it, the dimension, the vertices and
+        the boundary; the state goes on from it."""
+        base = self._base
+        if not self._applied:
+            return base
+        star = self._star_index
+        if self._applied == 1:
+            # one move: the inserted facets all hold b, and a vanished vertex
+            # is a, an appeared one b; only the stars that gained a facet,
+            # the kept and appeared faces, need sorting again (a copy that
+            # shares the index sees the same stars)
+            a, b, gone, (kept, _, appeared) = self._last
+            for s in chain(kept, appeared):
+                if len(star[s]) > 1:
+                    star[s] = tuple(sorted(star[s]))
+            facets = base.facets.difference(gone).union(star[b])
+            lost, new = (a if len(a) == 1 else ()), (b if len(b) == 1 else ())
+            vertices = base.vertices.difference(lost).union(new) if lost or new else base.vertices
+        else:
+            # several moves: the index built again, sorted; a dict keeps a
+            # slot for each deleted key, which every reader would pay for
+            star = {s: fs if len(fs) == 1 else tuple(sorted(fs)) for s, fs in star.items()}
+            facets = [s for s, fs in star.items() if len(fs) == 1 and len(fs[0]) == len(s)]
+            vertices = frozenset([s[0] for s in star if len(s) == 1])
+        out = Complex(facets, _trusted=True)
+        bd = self.boundary_complex
+        out.__dict__.update(_star_index=star, dim=self.dim, vertices=vertices, boundary_complex=bd)
+        _Stars.__init__(self, out)
+        return out
+
+
 def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
     """Apply chi_(a,b): remove every simplex containing a, add boundary(a)*b.
 
@@ -315,33 +360,9 @@ def apply_bistellar(k: Complex, move: BistellarMove) -> Complex:
     others.  A replayed certificate thus proves its moves legal, but not
     which labels its end carries.
     """
-    a, b = move.a, move.b
-    if a not in k:
-        raise MoveError("cannot apply %s: %s not in complex" % (move, a))
-    n = k.dim
-    if move.n != n:
-        if not (a.dim == n and b.dim == 0 and b[0] not in k.vertices):
-            raise MoveError(
-                "cannot apply %s: dimensions do not match an %d-complex" % (move, n)
-            )
-    obstruction = applicability_obstruction(k, a)
-    if obstruction is not None:
-        raise MoveError("cannot apply %s: %s" % (move, obstruction))
-    if a.dim == n:
-        if b.dim != 0 or b[0] in k.vertices:
-            raise MoveError("cannot apply %s: %s is not a fresh vertex" % (move, b))
-    else:
-        expected = _co_simplex(k._star_index[a], a, n + 1)
-        if b != expected:
-            raise MoveError(
-                "cannot apply %s: link of %s is the boundary of %s" % (move, a, expected)
-            )
-    out = _derived(k, a, b)
-    # the boundary ridges are those in one top facet; the move keeps each
-    # frontier ridge in one removed and one inserted facet, and puts the
-    # ridges through a or b in two facets or in none, so the boundary stays
-    out.__dict__["boundary_complex"] = k.boundary_complex
-    return out
+    stars = _Stars(k)
+    stars.apply_checked(move)
+    return stars.complex()
 
 
 def replaced_ball(move: BistellarMove) -> Complex:
@@ -354,7 +375,7 @@ def inserted_ball(move: BistellarMove) -> Complex:
     return join(simplex_boundary(move.a), simplex_complex(move.b))
 
 
-class MoveSet:
+class MoveSet(_Stars):
     """The moves of a pure complex, kept current, and in order, as moves are
     applied.
 
@@ -364,22 +385,16 @@ class MoveSet:
     ``avoid`` by any unused label, and trusts it; the f-vector and the
     largest label follow every step, so facet subdivisions always carry the
     canonical fresh label of the current complex.  ``copy`` gives a move
-    set of the same complex that moves on its own.
+    set of the same complex that moves on its own; ``complex()`` is the
+    current complex, as for any ``_Stars``.
 
     A move asks the rule, ``_co_simplex``, only at the faces that kept a
     changed star.  A vanished face loses its move.  An appeared face b + a',
     a' a proper part of a, is held only by the inserted facets u - x, x in
     a - a' (u = a + b), so its link is boundary(a - a'): a facet takes a
     subdivision, and another face has a move only when it is b, back to a,
-    which just vanished.  A
-    face linked to a face that came or went, its star unchanged, has a move
-    exactly when that face is absent now.
-
-    The faces that have a move are sorted once, on construction, into one
-    list and into one list per face size; a move then inserts or deletes a
-    face by bisection when it gains or loses its move, and leaves the lists
-    alone when only its b changes.  So ``faces`` and ``moves()`` read the
-    lexicographic order of a without sorting anything.
+    which just vanished.  A face linked to a face that came or went, its
+    star unchanged, has a move exactly when that face is absent now.
     """
 
     def __init__(self, k: Complex, avoid: Complex = EMPTY, label_floor: int = -1):
@@ -391,18 +406,18 @@ class MoveSet:
             bd = k.boundary_complex
             if bd and not bd.is_subcomplex_of(avoid):
                 raise MoveError("avoid must contain the boundary of a complex with boundary")
+        super().__init__(k)
         # boundary faces lie in avoid, and a move at a face outside avoid
         # keeps both, so the faces skipped here never change
         self._avoided = avoid.simplices if avoid else frozenset()
         self._size = k.dim + 1
         self._floor = label_floor
         self._top = max(k.vertices, default=-1)
-        self._star = dict(k._star_index)  # face -> tuple of facets
         self._f = [0] * self._size
         self._moves = {}  # a -> b, or None for a facet (fresh vertex)
         self._linked = {}  # a -> b where the link of a is the boundary of b
         self._waiting = {}  # b -> the faces linked to b
-        star = self._star
+        star = self._star_index
         for a, fs in star.items():
             self._f[len(a) - 1] += 1
             if a in self._avoided:
@@ -449,9 +464,7 @@ class MoveSet:
 
     def copy(self) -> "MoveSet":
         """A move set of the same complex that moves on its own."""
-        out = object.__new__(MoveSet)
-        out.__dict__.update(self.__dict__)
-        out._star = dict(self._star)
+        out = super().copy()
         out._f = list(self._f)
         out._moves = dict(self._moves)
         out._order = list(self._order)
@@ -466,7 +479,7 @@ class MoveSet:
 
     def star(self, a: Simplex) -> tuple:
         """The facets of the current complex that hold the face a."""
-        return self._star[a]
+        return self._star_index[a]
 
     def faces(self, size: int | None = None) -> list[Simplex]:
         """The faces a that have a move, in lexicographic order; with
@@ -490,10 +503,10 @@ class MoveSet:
 
     def apply(self, a: Simplex, b: Simplex):
         """Apply chi_(a, b), a move returned by ``moves()``."""
-        star = self._star
+        kept, vanished, appeared = _Stars.apply(self, a, b)
+        star = self._star_index
         f = self._f
         size = self._size
-        kept, vanished, appeared = _move_stars(star, star[a], a, b)
         for s in vanished:
             f[len(s) - 1] -= 1
             self._unlink(s)
@@ -528,16 +541,6 @@ class MoveSet:
         for s in appeared:
             for w in waiting.get(s, ()):
                 self._mark(w, _NO_MOVE)
-
-    def complex(self) -> Complex:
-        """The current complex, handed the star index, with each star sorted
-        as ``Complex._star_index`` sorts it, its dimension and its vertices,
-        so a reader of a walked or reduced complex builds none of them."""
-        star = {s: fs if len(fs) == 1 else tuple(sorted(fs)) for s, fs in self._star.items()}
-        out = Complex([s for s in star if len(s) == self._size], _trusted=True)
-        vertices = frozenset([s[0] for s in star if len(s) == 1])
-        out.__dict__.update(_star_index=star, dim=self._size - 1, vertices=vertices)
-        return out
 
 
 def greedy_reduction(
@@ -581,7 +584,8 @@ def greedy_reduction(
         if least is None:
             break
         faces = ms.faces(least)
-        step = (1 << least) - (1 << (size + 1 - least))  # fsum_delta of each
+        # the BistellarMove.fsum_delta of each of these moves
+        step = (1 << least) - (1 << (size + 1 - least))
         if step < 0:
             a = faces[0]
         else:

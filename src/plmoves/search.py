@@ -56,7 +56,7 @@ from .moves import (
     MoveError,
     MoveSet,
     _inserted_facets,
-    apply_bistellar,
+    _Stars,
     greedy_reduction,
 )
 from .stark import StarkMove, apply_stark_move
@@ -93,9 +93,8 @@ class MoveRecord:
             "stark": StarkMove,
         }[self.kind]
         if not isinstance(self.move, want):
-            raise SearchError(
-                "%s record needs a %s" % (self.kind, want.__name__)
-            )
+            article = "an" if want.__name__[0] in "AEIOU" else "a"
+            raise SearchError("%s record needs %s %s" % (self.kind, article, want.__name__))
 
     def __str__(self):
         return "%s %s" % (self.kind, self.move)
@@ -133,34 +132,34 @@ class MoveSequence:
         return iter(self.moves)
 
 
-def _apply_record(state, record: MoveRecord):
-    if record.kind == "bistellar":
-        if not isinstance(state, Complex):
-            raise SearchError("bistellar record applied to a stratified state")
-        return apply_bistellar(state, record.move)
-    if not isinstance(state, FilteredComplex):
-        raise SearchError("%s record needs a filtered complex" % record.kind)
-    if record.kind == "extended":
-        return apply_extended_bistellar(state, record.move)
-    return apply_stark_move(state, record.move)
-
-
 def replay(state, seq: MoveSequence):
     """Apply every move of the certificate with full precondition checking,
-    failing loudly at the first illegal step."""
+    failing loudly at the first illegal step.  A plain certificate runs on
+    one ``moves._Stars`` of its start, with the checks of
+    ``apply_bistellar``, and builds one complex, at the end."""
     have = state_fingerprint(state)
     if have != seq.start_fingerprint:
         raise SearchError(
             "fingerprint mismatch: sequence starts at %s, state is %s"
             % (seq.start_fingerprint, have)
         )
-    current = state
+    plain = isinstance(state, Complex)
+    current = _Stars(state) if plain else state
     for i, record in enumerate(seq.moves):
         try:
-            current = _apply_record(current, record)
+            if record.kind == "bistellar":
+                if not plain:
+                    raise SearchError("bistellar record applied to a stratified state")
+                current.apply_checked(record.move)
+            elif plain:
+                raise SearchError("%s record needs a filtered complex" % record.kind)
+            elif record.kind == "extended":
+                current = apply_extended_bistellar(current, record.move)
+            else:
+                current = apply_stark_move(current, record.move)
         except (MoveError, ValueError) as e:
             raise SearchError("illegal step %d (%s): %s" % (i, record, e)) from None
-    return current
+    return current.complex() if plain else current
 
 
 def _bidirectional(start, goal, expand_fw, expand_bw, key, budget: SearchBudget):

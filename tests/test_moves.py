@@ -419,7 +419,7 @@ def _listing(ms):
     order; and the tables it updates in place of testing again, the link
     of each face and the faces linked to each co-simplex."""
     sized = [ms.faces(size) for size in range(1, ms._size + 1)]
-    stars = {s: set(fs) for s, fs in ms._star.items()}
+    stars = {s: set(fs) for s, fs in ms._star_index.items()}
     return ms.moves(), sized, ms.f_vector, stars, ms._linked, ms._waiting
 
 

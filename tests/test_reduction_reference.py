@@ -10,7 +10,7 @@ from plmoves import Complex, boundary_of_simplex, f_vector, join, random_walk
 from plmoves.complexes import Simplex
 from plmoves.demos import torus7
 from plmoves.homology import minimal_sphere_f_vector
-from plmoves.moves import MoveSet, fsum_delta, greedy_reduction
+from plmoves.moves import BistellarMove, MoveSet, greedy_reduction
 
 
 def _sorted_moves(ms):
@@ -33,7 +33,7 @@ def _reference_reduction(ms, move_budget=600, seed=0):
         moves = _sorted_moves(ms)
         if not moves:
             break
-        deltas = [fsum_delta(a, b) for a, b in moves]
+        deltas = [BistellarMove(a, b).fsum_delta() for a, b in moves]
         best = min(deltas)
         if best < 0:
             a, b = moves[deltas.index(best)]  # the least a among the best
@@ -96,7 +96,7 @@ def test_greedy_reduction_takes_the_moves_of_the_sorting_loop():
                 ms = MoveSet(start)
                 want = _reference_reduction(ms, budget, reduction_seed)
                 assert got == want, (sorted(start.facets), budget)
-                deltas.update(fsum_delta(a, b) for a, b in want)
+                deltas.update(BistellarMove(a, b).fsum_delta() for a, b in want)
                 _assert_ordered(ms)
     # every kind of step ran: downhill, sideways and uphill
     assert min(deltas) < 0 and 0 in deltas and max(deltas) > 0
@@ -115,7 +115,8 @@ def test_the_stall_rule_ends_a_reduction_with_no_budget():
     applied = greedy_reduction(ms)
     assert len(applied) > 600
     assert applied[:600] == greedy_reduction(MoveSet(walked), 600)
-    assert sum(fsum_delta(a, b) >= 0 for a, b in applied) == 8 * len(walked.vertices) + 16
+    uphill = sum(BistellarMove(a, b).fsum_delta() >= 0 for a, b in applied)
+    assert uphill == 8 * len(walked.vertices) + 16
     assert ms.f_vector == (8, 28, 44, 22)
 
 

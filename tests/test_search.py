@@ -65,7 +65,7 @@ def test_state_fingerprint_is_label_sensitive_and_stable():
 def test_move_record_rejects_unknown_kind():
     with pytest.raises(SearchError):
         MoveRecord("teleport", BistellarMove((1, 2, 3), (9,)))
-    with pytest.raises(SearchError, match="^extended record needs a ExtendedMove$"):
+    with pytest.raises(SearchError, match="^extended record needs an ExtendedMove$"):
         MoveRecord("extended", BistellarMove((1, 2), (3, 4)))
 
 

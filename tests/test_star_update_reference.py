@@ -100,7 +100,7 @@ def test_a_move_updates_the_stars_as_the_per_facet_update_does(
         # and the callers: the move set, and a checked move, whose stars
         # are sorted
         ms.apply(a, b)
-        assert ms._star == want
+        assert ms._star_index == want
         state = apply_bistellar(state, record.move)
         assert _as_sets(state._star_index) == _as_sets(want)
 
