@@ -11,7 +11,8 @@ applying one after the other restores the facet set exactly.
 The move is available where lk(A) = boundary(B), and that rule is read from
 the star index, in one helper, ``_co_simplex``, which the move set and the
 checked moves (``applicability_obstruction``, ``bistellar_applicable``,
-``apply_bistellar``) all ask; a checked move builds no link complex.
+``apply_bistellar``) all ask; a checked move asks it once, through
+``_obstruction``, and builds no link complex.
 
 A move changes only the closed star of A (Pachner's locality), so a star
 index is kept in place.  ``_Stars`` holds one: a move updates the stars of
@@ -218,19 +219,25 @@ def applicability_obstruction(k: Complex, a) -> str | None:
     Raises if ``a`` is not a simplex of ``k`` at all; a boundary simplex and
     a link that fails to be a simplex boundary are reported separately.
     """
-    a = _as_simplex(a)
+    return _obstruction(k, _as_simplex(a))[0]
+
+
+def _obstruction(k, a: Simplex) -> tuple[str | None, Simplex | None]:
+    """``applicability_obstruction`` of ``k`` (a complex or a ``_Stars``) at
+    ``a``, and the b of lk(a) = boundary(b) read on the way, None at a facet
+    or where the rule fails: the one place a checked move asks the rule."""
     if a not in k:
         raise MoveError("%s is not a simplex of the complex" % (a,))
     if a in k.boundary_complex:
-        return "simplex %s lies in the boundary" % (a,)
+        return "simplex %s lies in the boundary" % (a,), None
     if a.dim == k.dim:
-        return None
+        return None, None
     b = _co_simplex(k._star_index[a], a, k.dim + 1)
     if b is None:
-        return "link of %s is not the boundary of a %d-simplex" % (a, k.dim - a.dim)
+        return "link of %s is not the boundary of a %d-simplex" % (a, k.dim - a.dim), None
     if b in k:
-        return "candidate co-simplex %s already present" % (list(b),)
-    return None
+        return "candidate co-simplex %s already present" % (list(b),), b
+    return None, b
 
 
 def bistellar_applicable(k: Complex, a, label_floor: int = -1) -> BistellarMove | None:
@@ -241,11 +248,12 @@ def bistellar_applicable(k: Complex, a, label_floor: int = -1) -> BistellarMove 
     a caller reserve labels used elsewhere).
     """
     a = _as_simplex(a)
-    if applicability_obstruction(k, a) is not None:
+    problem, b = _obstruction(k, a)
+    if problem is not None:
         return None
     if a.dim == k.dim:
         return BistellarMove(a, Simplex([fresh_vertex(k, label_floor)]))
-    return BistellarMove(a, _co_simplex(k._star_index[a], a, k.dim + 1))
+    return BistellarMove(a, b)
 
 
 class _Stars:
@@ -305,13 +313,11 @@ class _Stars:
         elif move.n != n and not (a.dim == n and b.dim == 0 and b not in self):
             problem = "dimensions do not match an %d-complex" % n
         else:
-            problem = applicability_obstruction(self, a)
+            problem, expected = _obstruction(self, a)
         if problem is None and a.dim == n and (b.dim != 0 or b in self):
             problem = "%s is not a fresh vertex" % (b,)
-        elif problem is None and a.dim < n:
-            expected = _co_simplex(self._star_index[a], a, n + 1)
-            if b != expected:
-                problem = "link of %s is the boundary of %s" % (a, expected)
+        elif problem is None and a.dim < n and b != expected:
+            problem = "link of %s is the boundary of %s" % (a, expected)
         if problem is not None:
             raise MoveError("cannot apply %s: %s" % (move, problem))
         self.apply(a, b)

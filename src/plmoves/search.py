@@ -8,15 +8,17 @@ so a bidirectional breadth-first search can meet in the middle and return a
 certificate.  A move changes only the closed star of a, so the search
 keeps move sets the same way: the two ends get fresh, validated move sets,
 and every other state it expands copies its parent's and advances the copy
-by the one move that made the state.  Every successor, a bare facet set,
-is built from the move set's star without verifying the move; the
-certificate is verified by replay before anyone sees it.  Search is a
-semi-decision procedure: a None means the budget ran out, except when the
-ends differ in dimension or Euler characteristic, which no sequence of moves
-changes, or when the target holds a label at or below the floor that the
-start lacks.  Every insertion edge of the digraph creates a label above the
-floor, so such a label is out of reach: a proof only within the
-canonical-label digraph, since apply_bistellar accepts any unused label.
+by the one move that made the state.  A state is an int, one bit per facet
+of a per-search table, and a move swaps the two halves of the boundary of
+a + b, so every successor is its state XOR the bits of that boundary, made
+without verifying the move; the certificate is verified by replay before
+anyone sees it.  Search is a semi-decision procedure: a None means the
+budget ran out, except when the ends differ in dimension or Euler
+characteristic, which no sequence of moves changes, or when the target
+holds a label at or below the floor that the start lacks.  Every
+insertion edge of the digraph creates a label above the floor, so such a
+label is out of reach: a proof only within the canonical-label digraph,
+since apply_bistellar accepts any unused label.
 
 stratified_align mirrors the stratum-by-stratum induction of the main
 theorem: align the lowest differing stratum with an inner search, realize
@@ -30,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import (
     EMPTY,
@@ -55,7 +58,6 @@ from .moves import (
     BistellarMove,
     MoveError,
     MoveSet,
-    _inserted_facets,
     _Stars,
     greedy_reduction,
 )
@@ -235,16 +237,72 @@ def _fresh_without(vertices, v: int, floor: int) -> int:
     return max(max((u for u in vertices if u != v), default=-1), floor) + 1
 
 
-class _FacetTexts(dict):
-    """facet -> facet_text(facet), built on first use; ``key`` joins them
-    into the canonical_facet_text of a facet set."""
+class _States:
+    """The facet table of one flip_search, in which a state is an ``int``.
 
-    def __missing__(self, f):
-        text = self[f] = facet_text(f)
-        return text
+    Bit i of a state stands for the i-th distinct facet the search met,
+    numbered on first sight.  The move chi_(a, b) swaps a * boundary(b) for
+    boundary(a) * b, the two halves of the boundary of u = a + b, so where
+    a state holds every facet of the first half and none of the second the
+    move's successor is the state XOR ``swap(a, b)``, the bits of every
+    facet of boundary(u).  That holds at every edge flip_search generates:
+    a move set's move forces star(a) = {u - y : y in b} and leaves b
+    absent, so no facet u - x, x in a, which holds b, is present; a
+    subdivision of a facet F by an absent vertex v removes u - v = F and
+    inserts facets that hold v.  The numbering is a bijection, so states
+    are exact; ``facets`` decodes one.
+    """
 
-    def key(self, facets) -> str:
-        return ";".join(map(self.__getitem__, sorted(facets)))
+    __slots__ = ("_bits", "_facets", "_texts", "_swaps")
+
+    def __init__(self):
+        self._bits = {}  # facet -> its bit
+        self._facets = []  # bit -> facet
+        self._texts = []  # bit -> facet_text(facet)
+        self._swaps = {}  # (a, b) -> swap(a, b), and (b, a) -> the same
+
+    def state(self, facets) -> int:
+        """The state of these facets, numbering those not yet met."""
+        bits, table = self._bits, self._facets
+        state = 0
+        for f in facets:
+            i = bits.get(f)
+            if i is None:
+                f = tuple.__new__(Simplex, f)
+                i = bits[f] = len(table)
+                table.append(f)
+                self._texts.append(facet_text(f))
+            state |= 1 << i
+        return state
+
+    def swap(self, a: Simplex, b: Simplex) -> int:
+        """The bits of the facets of boundary(a + b), built once per move."""
+        s = self._swaps.get((a, b))
+        if s is None:
+            u = sorted(a + b)
+            s = self._swaps[a, b] = self._swaps[b, a] = self.state(combinations(u, len(u) - 1))
+        return s
+
+    def _indices(self, state: int) -> list[int]:
+        """The numbers of the facets of a state, in increasing order."""
+        digits = bin(state)[:1:-1]  # bit i at position i
+        out = []
+        i = digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return out
+
+    def facets(self, state: int) -> list[Simplex]:
+        """The facets of a state, in the order of their numbers."""
+        return list(map(self._facets.__getitem__, self._indices(state)))
+
+    def key(self, state: int) -> str:
+        """The canonical_facet_text of a state, joined from each facet's
+        text, cached with its number."""
+        indices = self._indices(state)
+        indices.sort(key=self._facets.__getitem__)
+        return ";".join(map(self._texts.__getitem__, indices))
 
 
 class _MoveSetOf:
@@ -298,18 +356,21 @@ def flip_search(
     must be _fresh_without's label, and the backward predecessors that gain
     end labels are removal edges.
 
-    A state is the frozenset of its facets.  The ends get fresh move sets,
+    A state is an int over the search's facet table, ``_States``: bit i
+    stands for the i-th facet the search met.  The ends get fresh move sets,
     validated as enumerate_moves validates them; every other state's move
     set is a copy of its parent's advanced by the one move that made the
     state, which lists exactly the moves a fresh one would, since a move at
     a face outside ``avoid`` keeps both ``avoid`` and the boundary.  Each
-    successor is its parent's facets minus the star of a plus those of
-    boundary(a) * b, built without verifying the move again; replaying the
-    returned certificate, with every precondition checked, is the check.
-    Backward expansion enumerates insertion predecessors: a removed label
-    must either be canonically fresh for the predecessor or come back from
-    the label set of the two ends; ephemeral helper labels beyond that are
-    out of reach, which only ever costs completeness, never soundness.
+    successor is its parent XOR the bits of boundary(a + b), built once per
+    move and without verifying it; replaying the returned certificate, with
+    every precondition checked, is the check.  A state is decoded to facets
+    only for its frontier key, the canonical_facet_text, and for the
+    vertices of a backward expansion.  Backward expansion enumerates
+    insertion predecessors: a removed label must either be canonically
+    fresh for the predecessor or come back from the label set of the two
+    ends; ephemeral helper labels beyond that are out of reach, which only
+    ever costs completeness, never soundness.
     """
     budget = budget or SearchBudget()
     if avoid and not (avoid.is_subcomplex_of(k1) and avoid.is_subcomplex_of(k2)):
@@ -319,57 +380,51 @@ def flip_search(
     if any(v <= label_floor for v in k2.vertices - k1.vertices):
         return None
     end_labels = k1.vertices | k2.vertices
-    ends = {k1.facets: k1, k2.facets: k2}
-    avoided = avoid.simplices
+    states = _States()
+    start, goal = states.state(k1.facets), states.state(k2.facets)
+    ends = {start: k1, goal: k2}
 
     # Edges carry moves as (a, b) pairs; only the certificate's become
     # BistellarMove records.  The context of an expanded state is its
-    # _MoveSetOf.  The facets each move inserts are built once and shared by
-    # every state that holds them.
-    inserted = {}
-
-    def step(facets, ms, a, b):
-        new = inserted.get((a, b))
-        if new is None:
-            new = inserted[a, b] = _inserted_facets(a, b)
-        return facets.difference(ms.star(a)).union(new)
-
-    def move_set(facets, made_by, backward):
+    # _MoveSetOf.
+    def move_set(state, made_by, backward):
         # the state's _MoveSetOf and move set; a backward edge is labelled
         # with the inverse of the move that made the state
         if made_by is None:
-            of = _MoveSetOf(None, None, MoveSet(ends[facets], avoid, label_floor))
+            of = _MoveSetOf(None, None, MoveSet(ends[state], avoid, label_floor))
             return of, of.held()
         parent, (a, b) = made_by
         of = _MoveSetOf(parent, (b, a) if backward else (a, b))
         return of, of.derive()
 
-    def expand_fw(facets, made_by):
-        of, ms = move_set(facets, made_by, False)
-        return of, ((move, step(facets, ms, *move)) for move in ms.moves())
+    def expand_fw(state, made_by):
+        of, ms = move_set(state, made_by, False)
+        swap = states.swap
+        return of, ((move, state ^ swap(*move)) for move in ms.moves())
 
-    def expand_bw(facets, made_by):
-        of, ms = move_set(facets, made_by, True)
-        return of, predecessors(facets, ms)
+    def expand_bw(state, made_by):
+        of, ms = move_set(state, made_by, True)
+        return of, predecessors(state, ms)
 
-    def predecessors(facets, ms):
-        vertices = set().union(*facets)
+    def predecessors(state, ms):
+        swap = states.swap
+        vertices = set().union(*states.facets(state))
         for a, b in ms.moves():
             if len(b) == 1:
                 continue  # insertions get chosen labels below
             if len(a) == 1 and a[0] != _fresh_without(vertices, a[0], label_floor):
                 continue  # the reverse insertion would use a non-canonical label
-            yield (b, a), step(facets, ms, a, b)
-        # subdividing a facet of avoid would remove it from the predecessor
-        outside = [f for f in sorted(facets) if f not in avoided]
+            yield (b, a), state ^ swap(a, b)
+        # the facets outside avoid, in order: subdividing a facet of avoid
+        # would remove it from the predecessor
+        outside = ms.faces(ms.dim + 1)
         fresh = max(max(vertices), label_floor) + 1
         for v in sorted((end_labels - vertices) | {fresh}):
             vertex = tuple.__new__(Simplex, (v,))
             for facet in outside:
-                yield (vertex, facet), step(facets, ms, facet, vertex)
+                yield (vertex, facet), state ^ swap(facet, vertex)
 
-    key = _FacetTexts().key
-    moves = _bidirectional(k1.facets, k2.facets, expand_fw, expand_bw, key, budget)
+    moves = _bidirectional(start, goal, expand_fw, expand_bw, states.key, budget)
     if moves is None:
         return None
     return _replayed(

@@ -1,12 +1,15 @@
 """Outputs do not depend on the hash seed.
 
 One child process per seed computes a fixed set of outputs and prints one
-SHA-256 over them: walk certificates and their ends, a reduction, a flip
-search, stratified alignments of two short extended walks, sphere-or-ball
-verdicts and manifold reports, the CLI ``demo`` of every demo, and the CLI
-``moves apply`` of a 1,000-step certificate of the 3-sphere, which replays
-it on one mutable star index.  A set iterated in hash order on an output
-path gives the two children different digests.
+SHA-256 over them: walk certificates and their ends, a reduction, three
+flip searches, stratified alignments of two short extended walks,
+sphere-or-ball verdicts and manifold reports, the CLI ``demo`` of every
+demo, and the CLI ``moves apply`` of a 1,000-step certificate of the
+3-sphere, which replays it on one mutable star index.  A set iterated in hash order on an output
+path gives the two children different digests.  flip_search numbers the
+facets of its states in the order it meets them, which follows frozenset
+iteration, so the searches include one on a disk with its rim avoided and
+one on the 3-sphere with a label floor.
 """
 
 import os
@@ -74,6 +77,10 @@ for end, seq in walks:
 end, seq = reduce(walks[0][0])
 outputs += [emit_sequence(seq), canonical_facet_text(end)]
 outputs.append(emit_sequence(flip_search(s2, random_walk(s2, 5, seed=14)[0])))
+rim = disk.boundary_complex
+outputs.append(emit_sequence(flip_search(disk, random_walk(disk, 4, seed=20, avoid=rim)[0], rim)))
+floored, _ = random_walk(s3, 4, seed=3, label_floor=30)
+outputs.append(emit_sequence(flip_search(s3, floored, label_floor=30)))
 for start, seed in ((filtered_s2_equator(), 3), (filtered_s3_equatorial_s2(), 1)):
     end, _ = random_extended_walk(start, 3, seed=seed)
     outputs.append(emit_sequence(stratified_align(start, end)))

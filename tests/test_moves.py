@@ -30,6 +30,7 @@ from plmoves import (
     random_walk,
     reduce,
     replaced_ball,
+    replay,
     stellar_subdivide,
 )
 from plmoves import moves as moves_module
@@ -450,6 +451,27 @@ def test_only_the_faces_that_kept_a_changed_star_run_the_move_rule(name, monkeyp
         ms.apply(record.move.a, record.move.b)
     assert calls == kept
     assert len(kept) > len(walk)
+
+
+@pytest.mark.parametrize("name", sorted(_moveset_starts()))
+def test_a_checked_move_asks_the_rule_once(name, monkeypatch):
+    # replay checks every move of a plain certificate; at a face that is not
+    # a facet one answer of the rule gives both the obstruction and the b
+    # the move must carry, and a facet's subdivision asks no rule at all
+    k, avoid, floor = _moveset_starts()[name]
+    end, walk = random_walk(k, 40, seed=2, avoid=avoid, label_floor=floor)
+    calls = []
+    rule = moves_module._co_simplex
+
+    def counted_rule(fs, a, size):
+        calls.append(a)
+        return rule(fs, a, size)
+
+    monkeypatch.setattr(moves_module, "_co_simplex", counted_rule)
+    assert replay(k, walk) == end
+    faces = [record.move.a for record in walk if record.move.a.dim < k.dim]
+    assert calls == faces
+    assert 0 < len(faces) < len(walk)
 
 
 @pytest.mark.parametrize("name", sorted(_moveset_starts()))

@@ -17,6 +17,7 @@ from plmoves import (
     MoveSequence,
     SearchBudget,
     SearchError,
+    Simplex,
     StarkMove,
     apply_bistellar,
     boundary_of_simplex,
@@ -48,9 +49,9 @@ from plmoves.demos import (
     torus7,
 )
 from plmoves.filtration import _extended_move
-from plmoves.moves import MoveSet, _inserted_facets
-from plmoves.search import _align_fast, _FacetTexts, _fresh_without
-from support import disk_with_interior_triangle, hexagon_disk, without
+from plmoves.moves import MoveSet
+from plmoves.search import _align_fast, _fresh_without, _States
+from support import disk_with_interior_triangle, hexagon_disk
 
 
 def test_state_fingerprint_is_label_sensitive_and_stable():
@@ -580,23 +581,19 @@ def test_walk_reduce_and_search_outputs_are_byte_identical():
     assert got == OUTPUT_DIGESTS
 
 
-def _checked_rebuild(k, a, b):
-    # the rebuild apply_bistellar made before it read the star index
-    added = [b] if len(a) == 1 else [without(a, x).joined(b) for x in a]
-    return Complex([f for f in k.facets if not set(a) <= set(f)] + added)
-
-
-def _rebuild_starts():
+def _expansion_starts():
     disk = hexagon_disk()
     return {
-        "s2": (boundary_of_simplex(3), EMPTY),
-        "s3": (boundary_of_simplex(4), EMPTY),
-        "torus7": (torus7(), EMPTY),
-        "disk": (disk, disk.boundary_complex),
+        "s2": (boundary_of_simplex(3), EMPTY, -1),
+        "s3": (boundary_of_simplex(4), EMPTY, -1),
+        "torus7": (torus7(), EMPTY, -1),
+        "rp2_6": (rp2_6(), EMPTY, -1),
+        "disk": (disk, disk.boundary_complex, -1),
+        "s3_floor": (boundary_of_simplex(4), EMPTY, 30),
     }
 
 
-@pytest.mark.parametrize("name", sorted(_rebuild_starts()))
+@pytest.mark.parametrize("name", sorted(_expansion_starts()))
 @settings(max_examples=10)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
@@ -604,30 +601,42 @@ def _rebuild_starts():
     floor=st.integers(min_value=0, max_value=16),
 )
 def test_search_expansion_matches_checked_moves(name, seed, steps, floor):
-    # flip_search builds each successor as a facet set, from the move set's
-    # star, and tests reverse insertions by label arithmetic on the state's
-    # vertices; both must agree with the checked constructions at every
-    # state of a walk
-    k, avoid = _rebuild_starts()[name]
-    _, walk = random_walk(k, steps, seed=seed, avoid=avoid)
-    state = k
+    # flip_search takes each successor as its state XOR the bits of
+    # boundary(a + b), for every move of the state's move set and every
+    # insertion predecessor its backward side generates, and tests reverse
+    # insertions by label arithmetic on the state's vertices; all must agree
+    # with the checked moves at every state of a walk, and a state must
+    # decode to its facets
+    k, avoid, walk_floor = _expansion_starts()[name]
+    end, walk = random_walk(k, steps, seed=seed, avoid=avoid, label_floor=walk_floor)
+    labels = k.vertices | end.vertices
+    table = _States()
     removals = 0
+
+    def successor(state, a, b):
+        after = table.state(apply_bistellar(state, BistellarMove(a, b)).facets)
+        assert table.state(state.facets) ^ table.swap(a, b) == after
+        return after
+
+    states = [k]
     for record in walk:
-        for label_floor in (-1, floor):
-            ms = MoveSet(state, avoid, label_floor)
-            for m in enumerate_moves(state, avoid, label_floor):
-                # the successor flip_search builds
-                result = state.facets.difference(ms.star(m.a)).union(
-                    _inserted_facets(m.a, m.b)
-                )
-                assert result == _checked_rebuild(state, m.a, m.b).facets
-                if m.a.dim == 0:
+        states.append(apply_bistellar(states[-1], record.move))
+    for state in states:
+        assert sorted(table.facets(table.state(state.facets))) == sorted(state.facets)
+        vertices = set(state.vertices)
+        for label_floor in (walk_floor, floor):
+            for a, b in MoveSet(state, avoid, label_floor).moves():
+                after = successor(state, a, b)
+                if len(a) == 1:
                     removals += 1
-                    vertices = set().union(*state.facets)
-                    assert _fresh_without(vertices, m.a[0], label_floor) == (
-                        fresh_vertex(Complex(result), label_floor)
+                    assert _fresh_without(vertices, a[0], label_floor) == (
+                        fresh_vertex(Complex(table.facets(after)), label_floor)
                     )
-        state = apply_bistellar(state, record.move)
+            fresh = max(max(vertices), label_floor) + 1
+            outside = [f for f in state.facets if f not in avoid]
+            for v in (labels - vertices) | {fresh}:
+                for facet in outside:
+                    successor(state, facet, Simplex([v]))
     if name in ("s2", "s3") and len(walk) > 1:
         # the first move on a minimal sphere inserts a removable vertex
         assert removals
@@ -641,17 +650,42 @@ def test_search_expansion_matches_checked_moves(name, seed, steps, floor):
 @settings(max_examples=5)
 @given(seed=st.integers(min_value=0, max_value=2**16))
 def test_search_key_is_the_canonical_facet_text(start, seed):
-    # flip_search orders its frontiers by this key, joined from each facet's
-    # cached text; it must equal the text it stands for, so that the order,
-    # and every certificate, stay as canonical_facet_text makes them
+    # flip_search orders its frontiers by this key, joined from the texts
+    # its state table keeps with each facet's number; it must equal the text
+    # it stands for, so that the order, and every certificate, stay as
+    # canonical_facet_text makes them
     k = start()
-    key = _FacetTexts().key
+    table = _States()
     end, walk = random_walk(k, 12, seed=seed)
     state = k
     for record in walk:
-        assert key(state.facets) == canonical_facet_text(state)
+        assert table.key(table.state(state.facets)) == canonical_facet_text(state)
         state = apply_bistellar(state, record.move)
-    assert key(end.facets) == canonical_facet_text(end)
+    assert table.key(table.state(end.facets)) == canonical_facet_text(end)
+
+
+# The least node budgets at which these searches succeed, and the
+# certificates they return, recorded when search states were frozensets of
+# facets: a search must still generate, count and order its nodes as it did.
+LEAST_NODES = {
+    "s3": (113, "2b32c28b9f4d3940db86f7f50f05cbb071ae150b5387690b2b8769fa892b58c1"),
+    "disk": (311, "51211745fe6fc87603ef8759037e0dc8f4827eb7e3c1da17632a505f39b05f80"),
+}
+
+
+def test_search_node_budget_is_pinned():
+    s3 = boundary_of_simplex(4)
+    disk = hexagon_disk()
+    rim = disk.boundary_complex
+    searches = {
+        "s3": (s3, random_walk(s3, 4, seed=3)[0], EMPTY),
+        "disk": (disk, random_walk(disk, 4, seed=20, avoid=rim)[0], rim),
+    }
+    for name, (start, end, avoid) in searches.items():
+        least, digest = LEAST_NODES[name]
+        assert flip_search(start, end, avoid, SearchBudget(nodes=least - 1)) is None
+        seq = flip_search(start, end, avoid, SearchBudget(nodes=least))
+        assert hashlib.sha256(emit_sequence(seq).encode()).hexdigest() == digest
 
 
 def test_search_certificates_repeat_within_a_process():
